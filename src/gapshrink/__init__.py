@@ -53,12 +53,7 @@ from .priors import (
     pairwise_diff_penalty,
     pairwise_diff_penalty_median_form,
 )
-from .rng import (
-    sample_inverse_gaussian,
-    sample_truncated_normal,
-    slice_sample_1d,
-    stream,
-)
+from .rng import slice_sample_1d, stream
 from .diagnostics import acf, ess, ess_from_acf, singular_value_posterior
 from .samplers import (
     PosteriorSamples,

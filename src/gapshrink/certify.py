@@ -228,18 +228,19 @@ def check_zero_gap(n_cases=1000, seed=0, admm_tol=1e-8):
     }
 
 
-def run_gap_check(seed=0, n_nonneg=10_000, n_thm=1000, admm_tol=1e-8):
-    """Run all four suites; returns their reports plus an overall verdict."""
+def run_gap_check(limits, seed=0, n_nonneg=10_000, n_thm=1000, admm_tol=1e-8):
+    """Run all four suites; returns their reports plus an overall verdict
+    against limits, the gap_check entries of data/thresholds.json."""
     nonneg = check_gap_nonnegativity(n_nonneg, seed)
     thm1 = check_theorem1(n_thm, seed, admm_tol=1e-9)
     thm2 = check_theorem2(n_thm, seed)
     zero = check_zero_gap(n_thm, seed, admm_tol=admm_tol)
     passed = (
-        nonneg["min_gap"] >= -1e-10
-        and thm1["worst_violation"] <= 1e-6
-        and thm2["worst_violation"] <= 1e-6
-        and zero["worst_closed_form"] <= 1e-8
-        and zero["worst_admm"] <= 10.0 * admm_tol
+        nonneg["min_gap"] >= limits["min_gap"]
+        and thm1["worst_violation"] <= limits["theorem1_slack"]
+        and thm2["worst_violation"] <= limits["theorem2_slack"]
+        and zero["worst_closed_form"] <= limits["zero_gap_closed_form"]
+        and zero["worst_admm"] <= limits["zero_gap_admm_tol_multiple"] * admm_tol
     )
     return {
         "nonnegativity": nonneg,

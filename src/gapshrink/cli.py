@@ -45,10 +45,16 @@ def build_parser():
 
 
 def _apply_config_file(args):
+    """Override the subcommand's flags with the entries of the --config file;
+    any other key is an error."""
     if args.config is None:
         return args
     with open(args.config) as fh:
         overrides = json.load(fh)
+    flags = set(vars(args)) - {"experiment", "config"}
+    unknown = sorted(set(overrides) - flags)
+    if unknown:
+        raise ValueError(f"unknown --config key(s): {', '.join(unknown)}")
     for key, value in overrides.items():
         setattr(args, key, value)
     return args

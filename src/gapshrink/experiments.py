@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from importlib import resources
 from multiprocessing import get_context
 from pathlib import Path
@@ -146,12 +146,11 @@ def _sparse_metrics(samples, theta0, limits):
 
 
 def _exp1_rep(payload):
-    (rep, data_seed, sampler_kwargs, limits) = payload
+    (rep, data_seed, sampler, limits) = payload
     X, y, theta0 = gen_sparse_regression(data_seed + rep)
     out = {"rep": rep, "theta0_nonzero_idx": np.flatnonzero(theta0).tolist()}
 
-    cfg = SamplerConfig(**sampler_kwargs, chain_id=3 * rep)
-    gap = gibbs_sparse_regression(X, y, cfg)
+    gap = gibbs_sparse_regression(X, y, replace(sampler, chain_id=3 * rep))
     gm = _sparse_metrics(gap, theta0, limits)
     lag = limits["acf_lag"]
     gm["median_acf_at_lag"] = _pooled_median_acf(gap.columns("theta_"), lag)
@@ -168,12 +167,10 @@ def _exp1_rep(payload):
     gm["mean_gap"] = float(np.mean(gap_vals))
     gm["min_gap"] = float(np.min(gap_vals))
 
-    lcfg = SamplerConfig(**sampler_kwargs, chain_id=3 * rep + 1)
-    lasso = gibbs_bayesian_lasso(X, y, lcfg)
+    lasso = gibbs_bayesian_lasso(X, y, replace(sampler, chain_id=3 * rep + 1))
     lm = _sparse_metrics(lasso, theta0, limits)
 
-    dcfg = SamplerConfig(**sampler_kwargs, chain_id=3 * rep + 2)
-    gdp = gibbs_gdp(X, y, dcfg)
+    gdp = gibbs_gdp(X, y, replace(sampler, chain_id=3 * rep + 2))
     dm = _sparse_metrics(gdp, theta0, limits)
 
     out["gap_shrinkage"] = gm
@@ -194,10 +191,9 @@ def _exp1_rep(payload):
 
 
 def _exp2_rep(payload):
-    (rep, data_seed, sampler_kwargs, limits) = payload
+    (rep, data_seed, sampler, limits) = payload
     Y, theta0 = gen_lowrank_sparse(data_seed + rep)
-    cfg = SamplerConfig(**sampler_kwargs, chain_id=rep)
-    samples = gibbs_matrix_smoothing(Y, cfg)
+    samples = gibbs_matrix_smoothing(Y, replace(sampler, chain_id=rep))
 
     sv_cols = samples.columns("sv_")
     sv_means = sv_cols.mean(axis=0)
@@ -245,10 +241,9 @@ def _exp2_rep(payload):
 
 
 def _exp3_rep(payload):
-    (rep, data_seed, sampler_kwargs, limits, gen_kwargs) = payload
+    (rep, data_seed, sampler, limits, gen_kwargs) = payload
     Y, X, departments, theta0 = gen_fused_probit(data_seed + rep, **gen_kwargs)
-    cfg = SamplerConfig(**sampler_kwargs, chain_id=rep)
-    samples = gibbs_fused_probit(Y, X, departments, cfg)
+    samples = gibbs_fused_probit(Y, X, departments, replace(sampler, chain_id=rep))
 
     m, p = theta0.shape
     theta_mean = samples.columns("theta_").mean(axis=0).reshape(m, p)
@@ -304,38 +299,27 @@ def run_experiment(config, exp3_gen_kwargs=None):
     limits = config.thresholds[config.experiment.replace("-", "_")]
 
     if config.experiment == "gap-check":
-        result = run_gap_check(seed=config.sampler.seed)
+        result = run_gap_check(limits, seed=config.sampler.seed)
         _json_dump(out / "report.json", result)
         report = RunReport("gap-check", [result], result["passed"], limits)
         return report
 
-    sampler_kwargs = {
-        "warmup": config.sampler.warmup,
-        "retain": config.sampler.retain,
-        "seed": config.sampler.seed,
-        "alpha": config.sampler.alpha,
-        "thinning": config.sampler.thinning,
-        "rank": config.sampler.rank,
-        "random_intercept": config.sampler.random_intercept,
-        "hyperpriors": config.sampler.hyperpriors,
-    }
-
     if config.experiment == "exp1":
         payloads = [
-            (rep, config.data_seed, sampler_kwargs, limits)
+            (rep, config.data_seed, config.sampler, limits)
             for rep in range(config.replications)
         ]
         results = _map_tasks(_exp1_rep, payloads)
     elif config.experiment == "exp2":
         payloads = [
-            (rep, config.data_seed, sampler_kwargs, limits)
+            (rep, config.data_seed, config.sampler, limits)
             for rep in range(config.replications)
         ]
         results = _map_tasks(_exp2_rep, payloads)
     else:
         gen_kwargs = exp3_gen_kwargs or {"m": 8, "p": 2, "n": 2000, "deviant": 0}
         payloads = [
-            (rep, config.data_seed, sampler_kwargs, limits, gen_kwargs)
+            (rep, config.data_seed, config.sampler, limits, gen_kwargs)
             for rep in range(config.replications)
         ]
         results = _map_tasks(_exp3_rep, payloads)

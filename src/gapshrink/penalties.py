@@ -191,31 +191,12 @@ def _check_shape(spec, z):
     return z
 
 
-def operator_norm(M, iters=100, rtol=1e-8):
-    """Largest singular value of M via deterministic power iteration."""
+def operator_norm(M):
+    """Largest singular value of M; 0.0 for an empty matrix."""
     M = np.asarray(M, dtype=float)
-    if M.size == 0 or not np.any(M):
+    if M.size == 0:
         return 0.0
-    v = np.ones(M.shape[1]) / np.sqrt(M.shape[1])
-    sigma = 0.0
-    for _ in range(iters):
-        u = M @ v
-        nu = np.linalg.norm(u)
-        if nu == 0.0:
-            # v landed in the null space; restart off-axis
-            v = np.arange(1.0, M.shape[1] + 1.0)
-            v /= np.linalg.norm(v)
-            continue
-        u /= nu
-        v = M.T @ u
-        new_sigma = np.linalg.norm(v)
-        if new_sigma == 0.0:
-            return 0.0
-        v /= new_sigma
-        if abs(new_sigma - sigma) <= rtol * max(new_sigma, 1e-300):
-            return float(new_sigma)
-        sigma = new_sigma
-    return float(sigma)
+    return float(np.linalg.norm(M, 2))
 
 
 def penalty_value(spec, z):

@@ -117,10 +117,6 @@ class EdgeGraph:
         B[idx, self.edges[:, 1]] = -1.0
         return B
 
-    def with_cross_weight(self, omega):
-        w = np.where(self.cross, omega, 1.0)
-        return EdgeGraph(self.n_nodes, self.edges, w, self.cross)
-
 
 def complete_graph(groups, omega_cross=1.0):
     """Complete graph over all group members; cross-group edges get

@@ -15,9 +15,7 @@ from scipy.special import log_ndtr, ndtr, ndtri, ndtri_exp
 
 __all__ = [
     "stream",
-    "sample_truncated_normal",
     "truncated_normal",
-    "sample_inverse_gaussian",
     "inverse_gaussian",
     "slice_sample_1d",
 ]
@@ -98,13 +96,6 @@ def truncated_normal(mu, sigma, lo, hi, rng, size=None):
     return np.clip(x, lo, hi)
 
 
-def sample_truncated_normal(mu, sigma, lo, hi, rng):
-    """One draw from N(mu, sigma^2) restricted to (lo, hi)."""
-    if not lo < hi:
-        raise ValueError("lower bound must be below upper bound")
-    return float(truncated_normal(mu, sigma, lo, hi, rng, size=()))
-
-
 def inverse_gaussian(mu, lam, rng, size=None):
     """Inverse-Gaussian draws (mean mu, shape lam), vectorized.
 
@@ -124,11 +115,6 @@ def inverse_gaussian(mu, lam, rng, size=None):
     x = np.maximum(x, 1e-300)
     flip = rng.uniform(size=size) * (mu + x) > mu
     return np.where(flip, mu * mu / x, x)
-
-
-def sample_inverse_gaussian(mu, lam, rng):
-    """One inverse-Gaussian draw with mean mu and shape lam."""
-    return float(inverse_gaussian(float(mu), float(lam), rng, size=()))
 
 
 def slice_sample_1d(logf, x0, width, rng, bounds=(-math.inf, math.inf),

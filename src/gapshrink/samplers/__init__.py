@@ -1,11 +1,10 @@
-from .base import ChainState, DEFAULT_HYPERPRIORS, PosteriorSamples, SamplerConfig
+from .base import DEFAULT_HYPERPRIORS, PosteriorSamples, SamplerConfig
 from .comparators import gibbs_bayesian_lasso, gibbs_gdp
 from .fused_probit import gibbs_fused_probit
 from .matrix_smoothing import gibbs_matrix_smoothing
 from .sparse_regression import gibbs_sparse_regression
 
 __all__ = [
-    "ChainState",
     "DEFAULT_HYPERPRIORS",
     "PosteriorSamples",
     "SamplerConfig",

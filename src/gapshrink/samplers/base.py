@@ -1,4 +1,4 @@
-"""Shared sampler configuration, chain state, and draw storage."""
+"""Shared sampler configuration, draw storage, and the Gaussian block draw."""
 
 from __future__ import annotations
 
@@ -7,12 +7,15 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import cho_factor, cho_solve, solve_triangular
+
+from ..errors import NumericError
 
 __all__ = [
     "SamplerConfig",
-    "ChainState",
     "PosteriorSamples",
     "DEFAULT_HYPERPRIORS",
+    "gaussian_draw",
 ]
 
 # (shape, rate/scale) pairs for inverse-gamma priors, (a, b) for the beta
@@ -76,37 +79,6 @@ class SamplerConfig:
 
 
 @dataclass
-class ChainState:
-    """All latent quantities of one Gibbs chain at a sweep boundary.
-
-    latents holds the model block (theta, or the factor pair), duals the
-    box-constrained dual block, scales the mixture augmentations (stored
-    as precisions, so positivity is the invariant), hypers the scalar
-    hyperparameters.  rng_key records the (seed, chain) coordinates of the
-    counter-based streams driving the chain.
-    """
-
-    latents: dict
-    duals: dict
-    scales: dict
-    hypers: dict
-    rng_key: tuple
-
-    def validate(self, dual_bounds):
-        """Check the state invariants: augmentation scales strictly
-        positive, every dual block inside its current box."""
-        for name, arr in self.scales.items():
-            if not np.all(np.asarray(arr) > 0.0):
-                raise ValueError(f"augmentation scale {name!r} not positive")
-        for name, bound in dual_bounds.items():
-            arr = np.asarray(self.duals[name])
-            if arr.size and np.max(np.abs(arr)) > bound * (1 + 1e-12) + 1e-12:
-                raise ValueError(
-                    f"dual block {name!r} violates its bound {bound:g}"
-                )
-
-
-@dataclass
 class PosteriorSamples:
     """Retained draws as a (iterations x parameters) matrix with labels."""
 
@@ -141,3 +113,24 @@ def flat_names(prefix, *dims):
             f"{prefix}_{i}_{j}" for i in range(dims[0]) for j in range(dims[1])
         ]
     raise ValueError("only 1- and 2-d blocks supported")
+
+
+def gaussian_draw(prec, lin, rng, scale=1.0):
+    """Draw prec^-1 lin + scale * L^-T z, z standard normal, where
+    prec = L L^T; that is N(prec^-1 lin, scale^2 prec^-1).
+
+    Raises NumericError when prec is not positive definite.
+    """
+    try:
+        cf = cho_factor(prec, lower=True, check_finite=False)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(
+            "conditional precision is not positive definite "
+            f"(min diagonal {np.min(np.diag(prec)):.3e})"
+        ) from exc
+    mean = cho_solve(cf, lin, check_finite=False)
+    noise = solve_triangular(
+        cf[0], rng.standard_normal(lin.size), lower=True, trans="T",
+        check_finite=False,
+    )
+    return mean + scale * noise

@@ -5,36 +5,17 @@ gap-shrinkage sampler so experiment code can treat methods uniformly."""
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, solve_triangular
 
-from ..errors import NumericError
 from ..rng import inverse_gaussian, slice_sample_1d, stream
-from .base import PosteriorSamples, flat_names
+from .base import flat_names, gaussian_draw
+from .chain import run_chain
 
 __all__ = ["gibbs_bayesian_lasso", "gibbs_gdp"]
 
 _SCALES, _THETA, _LAM, _SIGMA, _INIT = range(5)
 
 _EPS_ABS = 1e-8
-
-
-def _draw_theta(XtX, Xty, prior_prec_diag, sigma2, rng):
-    """theta ~ N(A^-1 X'y, sigma2 A^-1) with A = X'X + diag(prior_prec)."""
-    A = XtX.copy()
-    A[np.diag_indices_from(A)] += prior_prec_diag
-    try:
-        cf = cho_factor(A, lower=True, check_finite=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError("regression precision not positive definite") from exc
-    mean = cho_solve(cf, Xty, check_finite=False)
-    noise = solve_triangular(
-        cf[0], rng.standard_normal(Xty.size), lower=True, trans="T",
-        check_finite=False,
-    )
-    return mean + np.sqrt(sigma2) * noise
 
 
 def gibbs_bayesian_lasso(X, y, config):
@@ -53,20 +34,17 @@ def gibbs_bayesian_lasso(X, y, config):
 
     XtX = X.T @ X
     Xty = X.T @ y
+    # one precision buffer for all sweeps, so no p x p array is freed and
+    # page-faulted in again each sweep
+    prec = np.empty_like(XtX)
 
     rng0 = stream(seed, chain, 0, _INIT)
     theta = 0.01 * rng0.standard_normal(p)
-    tau2 = np.ones(p)
     lam = 1.0
     sigma2 = float(np.var(y)) or 1.0
 
-    total = config.warmup + config.retain
-    kept = config.retain // config.thinning
-    draws = np.empty((kept, p + 2))
-    row = 0
-    t0 = time.perf_counter()
-
-    for sweep in range(1, total + 1):
+    def step(sweep):
+        nonlocal theta, lam, sigma2
         rng = stream(seed, chain, sweep, _SCALES)
         abs_theta = np.maximum(np.abs(theta), _EPS_ABS)
         inv_tau2 = inverse_gaussian(
@@ -75,7 +53,9 @@ def gibbs_bayesian_lasso(X, y, config):
         tau2 = 1.0 / inv_tau2
 
         rng = stream(seed, chain, sweep, _THETA)
-        theta = _draw_theta(XtX, Xty, inv_tau2, sigma2, rng)
+        np.copyto(prec, XtX)
+        prec[np.diag_indices_from(prec)] += inv_tau2
+        theta = gaussian_draw(prec, Xty, rng, scale=np.sqrt(sigma2))
 
         rng = stream(seed, chain, sweep, _SIGMA)
         resid = y - X @ theta
@@ -97,25 +77,11 @@ def gibbs_bayesian_lasso(X, y, config):
 
         lam = float(np.exp(slice_sample_1d(lam_logf, np.log(lam), 0.5, rng)))
 
-        if sweep > config.warmup:
-            k = sweep - config.warmup - 1
-            if k % config.thinning == 0 and row < kept:
-                draws[row, :p] = theta
-                draws[row, p] = lam
-                draws[row, p + 1] = sigma2
-                row += 1
+    def record():
+        return np.concatenate([theta, [lam, sigma2]]), {}, {}
 
     names = flat_names("theta", p) + ["lam", "sigma2"]
-    meta = {
-        "model": "bayesian_lasso",
-        "seed": seed,
-        "chain_id": chain,
-        "config_digest": config.digest(),
-        "wall_seconds": time.perf_counter() - t0,
-        "warmup": config.warmup,
-        "retain": config.retain,
-    }
-    return PosteriorSamples(draws[:row], names, meta)
+    return run_chain(config, step, record, names, "bayesian_lasso")
 
 
 def gibbs_gdp(X, y, config):
@@ -133,19 +99,16 @@ def gibbs_gdp(X, y, config):
 
     XtX = X.T @ X
     Xty = X.T @ y
+    # one precision buffer for all sweeps, so no p x p array is freed and
+    # page-faulted in again each sweep
+    prec = np.empty_like(XtX)
 
     rng0 = stream(seed, chain, 0, _INIT)
     theta = 0.01 * rng0.standard_normal(p)
-    lam_j = np.ones(p)
     sigma2 = float(np.var(y)) or 1.0
 
-    total = config.warmup + config.retain
-    kept = config.retain // config.thinning
-    draws = np.empty((kept, p + 1))
-    row = 0
-    t0 = time.perf_counter()
-
-    for sweep in range(1, total + 1):
+    def step(sweep):
+        nonlocal theta, sigma2
         rng = stream(seed, chain, sweep, _SCALES)
         sigma = np.sqrt(sigma2)
         abs_theta = np.maximum(np.abs(theta), _EPS_ABS)
@@ -156,7 +119,9 @@ def gibbs_gdp(X, y, config):
         inv_s = inverse_gaussian(lam_j * sigma / abs_theta, lam_j**2, rng)
 
         rng = stream(seed, chain, sweep, _THETA)
-        theta = _draw_theta(XtX, Xty, inv_s, sigma2, rng)
+        np.copyto(prec, XtX)
+        prec[np.diag_indices_from(prec)] += inv_s
+        theta = gaussian_draw(prec, Xty, rng, scale=np.sqrt(sigma2))
 
         rng = stream(seed, chain, sweep, _SIGMA)
         resid = y - X @ theta
@@ -166,21 +131,8 @@ def gibbs_gdp(X, y, config):
         )
         sigma2 = rate / rng.standard_gamma(shape)
 
-        if sweep > config.warmup:
-            k = sweep - config.warmup - 1
-            if k % config.thinning == 0 and row < kept:
-                draws[row, :p] = theta
-                draws[row, p] = sigma2
-                row += 1
+    def record():
+        return np.concatenate([theta, [sigma2]]), {}, {}
 
     names = flat_names("theta", p) + ["sigma2"]
-    meta = {
-        "model": "gdp",
-        "seed": seed,
-        "chain_id": chain,
-        "config_digest": config.digest(),
-        "wall_seconds": time.perf_counter() - t0,
-        "warmup": config.warmup,
-        "retain": config.retain,
-    }
-    return PosteriorSamples(draws[:row], names, meta)
+    return run_chain(config, step, record, names, "gdp")

@@ -12,13 +12,13 @@ column has a Gaussian full conditional.
 from __future__ import annotations
 
 import math
-import time
 
 import numpy as np
 
 from ..priors import complete_graph
 from ..rng import slice_sample_1d, stream, truncated_normal, inverse_gaussian
-from .base import ChainState, PosteriorSamples, flat_names
+from .base import flat_names
+from .chain import run_chain
 
 __all__ = [
     "gibbs_fused_probit",
@@ -177,16 +177,13 @@ def gibbs_fused_probit(Y, X, taxonomy, config):
     lo = np.where(y_pos, 0.0, -np.inf)
     hi = np.where(y_pos, np.inf, 0.0)
 
-    total = config.warmup + config.retain
-    kept = config.retain // config.thinning
-    cols = m * p + n_edges * p + 2 + (1 if config.random_intercept else 0)
-    draws = np.empty((kept, cols))
-    row = 0
-    t0 = time.perf_counter()
-
     M = X @ theta.T
+    # the probit latents are chain state like the rest; holding them between
+    # sweeps also keeps the heap from being trimmed and page-faulted in again
+    z = None
 
-    for sweep in range(1, total + 1):
+    def step(sweep):
+        nonlocal M, z, v, inv_s, rho, omega, gamma, tau2
         w = np.where(cross, omega, 1.0)
 
         rng = stream(seed, chain, sweep, _LATENT)
@@ -263,22 +260,12 @@ def gibbs_fused_probit(Y, X, taxonomy, config):
             rate_t = b_tau + 0.5 * float(gamma @ gamma)
             tau2 = rate_t / rng.standard_gamma(shape)
 
-        if sweep > config.warmup:
-            kk = sweep - config.warmup - 1
-            if kk % config.thinning == 0 and row < kept:
-                state = ChainState(
-                    latents={"theta": theta},
-                    duals={"v": v},
-                    scales={"inv_s": inv_s, "tau2": tau2},
-                    hypers={"rho": rho, "omega_cross": omega},
-                    rng_key=(seed, chain),
-                )
-                state.validate({"v": rho})
-                parts = [theta.ravel(), v.ravel(), [rho, omega]]
-                if config.random_intercept:
-                    parts.append([tau2])
-                draws[row] = np.concatenate(parts)
-                row += 1
+    def record():
+        parts = [theta.ravel(), v.ravel(), [rho, omega]]
+        if config.random_intercept:
+            parts.append([tau2])
+        return (np.concatenate(parts), {"v": (v, rho)},
+                {"inv_s": inv_s, "tau2": tau2})
 
     names = (
         flat_names("theta", m, p)
@@ -287,15 +274,5 @@ def gibbs_fused_probit(Y, X, taxonomy, config):
     )
     if config.random_intercept:
         names.append("tau2")
-    meta = {
-        "model": "gap_fused_probit",
-        "seed": seed,
-        "chain_id": chain,
-        "config_digest": config.digest(),
-        "wall_seconds": time.perf_counter() - t0,
-        "warmup": config.warmup,
-        "retain": config.retain,
-        "alpha": alpha,
-        "n_edges": n_edges,
-    }
-    return PosteriorSamples(draws[:row], names, meta)
+    return run_chain(config, step, record, names, "gap_fused_probit",
+                     alpha=alpha, n_edges=n_edges)

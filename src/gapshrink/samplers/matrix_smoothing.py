@@ -14,7 +14,6 @@ rides along with every entry.
 from __future__ import annotations
 
 import math
-import time
 
 import numpy as np
 
@@ -25,14 +24,15 @@ from ..rng import (
     stream,
     truncated_normal,
 )
-from .base import ChainState, PosteriorSamples, flat_names
+from .base import flat_names
+from .chain import run_chain
 
 __all__ = [
     "gibbs_matrix_smoothing",
     "v2_conditional_logpdf",
-    "v2_conditional_draw",
+    "v2_block_draw",
     "v1_conditional_logpdf",
-    "v1_conditional_step",
+    "v1_slice_step",
 ]
 
 _ROWS_A, _ROWS_B, _SCALES, _V2, _V1, _SIGMA, _LAM2, _INIT = range(8)
@@ -40,6 +40,7 @@ _ROWS_A, _ROWS_B, _SCALES, _V2, _V1, _SIGMA, _LAM2, _INIT = range(8)
 _EPS_ABS = 1e-8
 # Gaussian base kernel on the anchor has variance 100 per entry
 _KERNEL_VAR = 100.0
+_INV_TWO_VAR = 1.0 / (2.0 * _KERNEL_VAR)
 
 
 def v2_conditional_logpdf(x, theta_ij, v1_ij, lam2, alpha):
@@ -50,12 +51,11 @@ def v2_conditional_logpdf(x, theta_ij, v1_ij, lam2, alpha):
     return alpha * theta_ij * x - (c + x) ** 2 / (2.0 * _KERNEL_VAR)
 
 
-def v2_conditional_draw(theta_ij, v1_ij, lam2, alpha, rng):
-    """Exact truncated-normal draw matching v2_conditional_logpdf."""
-    mean = _KERNEL_VAR * alpha * theta_ij - (theta_ij + v1_ij)
-    return float(
-        truncated_normal(mean, math.sqrt(_KERNEL_VAR), -lam2, lam2, rng, size=())
-    )
+def v2_block_draw(theta, V1, lam2, alpha, rng):
+    """Exact draw of the sparse dual V2 given theta, V1 and lam2:
+    independent truncated normals, each matching v2_conditional_logpdf."""
+    mean = _KERNEL_VAR * alpha * theta - (theta + V1)
+    return truncated_normal(mean, math.sqrt(_KERNEL_VAR), -lam2, lam2, rng)
 
 
 def v1_conditional_logpdf(x, theta_ij, c2_ij, coupling, r2_rest, alpha):
@@ -69,14 +69,17 @@ def v1_conditional_logpdf(x, theta_ij, c2_ij, coupling, r2_rest, alpha):
     )
 
 
-def v1_conditional_step(x0, theta_ij, c2_ij, coupling, r2_rest, alpha, rng,
-                        width=None):
-    """One slice move on a nuclear-dual entry."""
-    if width is None:
-        width = min(10.0, max(1e-7, 3.0 / (1.0 + coupling)))
+def v1_slice_step(x0, alpha_theta, c2, coupling, r2_rest, width, rng):
+    """One slice move on a nuclear-dual entry, leaving
+    v1_conditional_logpdf invariant; alpha_theta is alpha * theta_ij and c2
+    is theta_ij + V2_ij.  rng needs only a uniform() method."""
 
     def logf(x):
-        return v1_conditional_logpdf(x, theta_ij, c2_ij, coupling, r2_rest, alpha)
+        return (
+            alpha_theta * x
+            - coupling * math.sqrt(r2_rest + x * x)
+            - (c2 + x) * (c2 + x) * _INV_TWO_VAR
+        )
 
     return slice_sample_1d(logf, x0, width, rng)
 
@@ -125,16 +128,10 @@ def gibbs_matrix_smoothing(Y, config):
     inv_s = np.ones((p1, p2))
     sigma2 = float(np.var(Y)) or 1.0
     lam2 = 1.0
+    theta = None
 
-    total = config.warmup + config.retain
-    kept = config.retain // config.thinning
-    n_sv = min(6, min(p1, p2))
-    cols = (p1 + p2) * r + 2 * p1 * p2 + 3 + n_sv
-    draws = np.empty((kept, cols))
-    row = 0
-    t0 = time.perf_counter()
-
-    for sweep in range(1, total + 1):
+    def step(sweep):
+        nonlocal A, B, V1, V2, inv_s, sigma2, lam2, theta
         lam1 = float(np.linalg.norm(V1))
         V = V1 + V2
 
@@ -159,10 +156,7 @@ def gibbs_matrix_smoothing(Y, config):
         inv_s = inverse_gaussian(rate / abs_theta, np.full_like(theta, rate**2), rng)
 
         rng = stream(seed, chain, sweep, _V2)
-        mean = _KERNEL_VAR * alpha * theta - (theta + V1)
-        V2 = truncated_normal(
-            mean, math.sqrt(_KERNEL_VAR), -lam2, lam2, rng
-        )
+        V2 = v2_block_draw(theta, V1, lam2, alpha, rng)
 
         rng = stream(seed, chain, sweep, _V1)
         buf = BufferedUniform(rng)
@@ -175,21 +169,12 @@ def gibbs_matrix_smoothing(Y, config):
         # covers the cold start where V1 is still zero
         rms = math.sqrt(r2 / max(len(v1), 1))
         width = min(10.0, max(4.0 * rms, 3.0 / (1.0 + coupling), 1e-9))
-        inv_two_var = 1.0 / (2.0 * _KERNEL_VAR)
         for idx in range(len(v1)):
             x_old = v1[idx]
             r2_rest = max(r2 - x_old * x_old, 0.0)
-            at = atheta[idx]
-            cc = c2[idx]
-
-            def logf(x):
-                return (
-                    at * x
-                    - coupling * math.sqrt(r2_rest + x * x)
-                    - (cc + x) * (cc + x) * inv_two_var
-                )
-
-            x_new = slice_sample_1d(logf, x_old, width, buf)
+            x_new = v1_slice_step(
+                x_old, atheta[idx], c2[idx], coupling, r2_rest, width, buf
+            )
             v1[idx] = x_new
             r2 = r2_rest + x_new * x_new
         V1 = np.array(v1).reshape(p1, p2)
@@ -214,29 +199,21 @@ def gibbs_matrix_smoothing(Y, config):
             )
         )
 
-        if sweep > config.warmup:
-            k = sweep - config.warmup - 1
-            if k % config.thinning == 0 and row < kept:
-                state = ChainState(
-                    latents={"A": A, "B": B},
-                    duals={"V1": V1, "V2": V2},
-                    scales={"inv_s": inv_s},
-                    hypers={"sigma2": sigma2, "lam2": lam2},
-                    rng_key=(seed, chain),
-                )
-                state.validate({"V2": lam2})
-                sv = np.linalg.svd(theta, compute_uv=False)[:n_sv]
-                draws[row] = np.concatenate(
-                    [
-                        A.ravel(),
-                        B.ravel(),
-                        V1.ravel(),
-                        V2.ravel(),
-                        [sigma2, float(np.linalg.norm(V1)), lam2],
-                        sv,
-                    ]
-                )
-                row += 1
+    n_sv = min(6, min(p1, p2))
+
+    def record():
+        sv = np.linalg.svd(theta, compute_uv=False)[:n_sv]
+        row = np.concatenate(
+            [
+                A.ravel(),
+                B.ravel(),
+                V1.ravel(),
+                V2.ravel(),
+                [sigma2, float(np.linalg.norm(V1)), lam2],
+                sv,
+            ]
+        )
+        return row, {"V2": (V2, lam2)}, {"inv_s": inv_s}
 
     names = (
         flat_names("A", p1, r)
@@ -246,15 +223,5 @@ def gibbs_matrix_smoothing(Y, config):
         + ["sigma2", "lam1", "lam2"]
         + [f"sv_{k + 1}" for k in range(n_sv)]
     )
-    meta = {
-        "model": "gap_matrix_smoothing",
-        "seed": seed,
-        "chain_id": chain,
-        "config_digest": config.digest(),
-        "wall_seconds": time.perf_counter() - t0,
-        "warmup": config.warmup,
-        "retain": config.retain,
-        "alpha": alpha,
-        "rank": r,
-    }
-    return PosteriorSamples(draws[:row], names, meta)
+    return run_chain(config, step, record, names, "gap_matrix_smoothing",
+                     alpha=alpha, rank=r)

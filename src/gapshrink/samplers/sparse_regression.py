@@ -13,58 +13,21 @@ updates use the collapsed (mixture-free) conditionals.
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, solve_triangular
 
-from ..errors import NumericError
 from ..rng import inverse_gaussian, slice_sample_1d, stream, truncated_normal
-from .base import ChainState, PosteriorSamples, flat_names
+from .base import flat_names, gaussian_draw
+from .chain import run_chain
 
 __all__ = [
     "gibbs_sparse_regression",
     "dual_conditional_logpdf",
-    "dual_conditional_draw",
+    "dual_block_draw",
 ]
 
 _SCALES, _THETA, _DUAL, _LAM, _SIGMA, _INIT = range(6)
 
 _EPS_ABS = 1e-8
-
-
-def _chol_normal(prec, lin, rng):
-    cf = cho_factor(prec, lower=True, check_finite=False)
-    mean = cho_solve(cf, lin, check_finite=False)
-    noise = solve_triangular(
-        cf[0], rng.standard_normal(lin.size), lower=True, trans="T",
-        check_finite=False,
-    )
-    return mean + noise
-
-
-def _draw_gaussian_block(prec, lin, rng, block=50):
-    """Draw from N(prec^-1 lin, prec^-1); falls back to fixed-size
-    coordinate blocks when the joint Cholesky fails."""
-    p = prec.shape[0]
-    try:
-        return _chol_normal(prec, lin, rng)
-    except np.linalg.LinAlgError:
-        pass
-    theta = np.zeros(p)
-    for start in range(0, p, block):
-        idx = slice(start, min(start + block, p))
-        rest = np.ones(p, dtype=bool)
-        rest[idx] = False
-        lin_b = lin[idx] - prec[idx, :][:, rest] @ theta[rest]
-        try:
-            theta[idx] = _chol_normal(prec[idx, idx], lin_b, rng)
-        except np.linalg.LinAlgError as exc:
-            raise NumericError(
-                "conditional precision is not positive definite "
-                f"(min diagonal {np.min(np.diag(prec)):.3e})"
-            ) from exc
-    return theta
 
 
 def dual_conditional_logpdf(x, theta_j, w_j, lam, alpha):
@@ -82,13 +45,13 @@ def dual_conditional_logpdf(x, theta_j, w_j, lam, alpha):
     return alpha * x * theta_j - (theta_j + x) ** 2 / (2.0 * w_j)
 
 
-def dual_conditional_draw(theta_j, w_j, lam, alpha, rng):
-    """Exact truncated-normal draw from the dual coordinate conditional."""
-    mean = theta_j * (alpha * w_j - 1.0)
-    sd = np.sqrt(w_j)
-    lo = 0.0 if theta_j > 0 else -lam
-    hi = 0.0 if theta_j < 0 else lam
-    return float(truncated_normal(mean, sd, lo, hi, rng, size=()))
+def dual_block_draw(theta, w, lam, alpha, rng):
+    """Exact draw of the dual block given theta, the kernel scales w and lam:
+    independent truncated normals, each matching dual_conditional_logpdf."""
+    mean = theta * (alpha * w - 1.0)
+    lo = np.where(theta > 0, 0.0, -lam)
+    hi = np.where(theta < 0, 0.0, lam)
+    return truncated_normal(mean, np.sqrt(w), lo, hi, rng)
 
 
 def gibbs_sparse_regression(X, y, config):
@@ -110,20 +73,19 @@ def gibbs_sparse_regression(X, y, config):
 
     XtX = X.T @ X
     Xty = X.T @ y
+    # one precision buffer for all sweeps, so no p x p array is freed and
+    # page-faulted in again each sweep
+    prec = np.empty_like(XtX)
 
     rng0 = stream(seed, chain, 0, _INIT)
     theta = 0.1 * rng0.standard_cauchy(p)
     u = np.zeros(p)
     lam = 1.0
     sigma2 = float(np.var(y)) or 1.0
+    inv_s = inv_w = None
 
-    total = config.warmup + config.retain
-    kept = config.retain // config.thinning
-    draws = np.empty((kept, 2 * p + 2))
-    row = 0
-    t0 = time.perf_counter()
-
-    for sweep in range(1, total + 1):
+    def step(sweep):
+        nonlocal theta, u, lam, sigma2, inv_s, inv_w
         rng = stream(seed, chain, sweep, _SCALES)
         a = np.maximum(alpha * (lam - np.abs(u)), _EPS_ABS)
         abs_theta = np.maximum(np.abs(theta), _EPS_ABS)
@@ -133,16 +95,13 @@ def gibbs_sparse_regression(X, y, config):
         inv_w = 1.0 / w
 
         rng = stream(seed, chain, sweep, _THETA)
-        prec = XtX / sigma2
+        np.divide(XtX, sigma2, out=prec)
         prec[np.diag_indices_from(prec)] += inv_s + inv_w
         lin = Xty / sigma2 - u * inv_w
-        theta = _draw_gaussian_block(prec, lin, rng)
+        theta = gaussian_draw(prec, lin, rng)
 
         rng = stream(seed, chain, sweep, _DUAL)
-        mean_u = theta * (alpha * w - 1.0)
-        lo = np.where(theta > 0, 0.0, -lam)
-        hi = np.where(theta < 0, 0.0, lam)
-        u = truncated_normal(mean_u, np.sqrt(w), lo, hi, rng)
+        u = dual_block_draw(theta, w, lam, alpha, rng)
 
         rng = stream(seed, chain, sweep, _LAM)
         abs_sum = float(np.sum(np.abs(theta)))
@@ -165,32 +124,10 @@ def gibbs_sparse_regression(X, y, config):
         rate = b_sig + 0.5 * float(resid @ resid)
         sigma2 = rate / rng.standard_gamma(shape)
 
-        if sweep > config.warmup:
-            k = sweep - config.warmup - 1
-            if k % config.thinning == 0 and row < kept:
-                state = ChainState(
-                    latents={"theta": theta},
-                    duals={"u": u},
-                    scales={"inv_s": inv_s, "inv_w": inv_w},
-                    hypers={"lam": lam, "sigma2": sigma2},
-                    rng_key=(seed, chain),
-                )
-                state.validate({"u": lam})
-                draws[row, :p] = theta
-                draws[row, p : 2 * p] = u
-                draws[row, 2 * p] = lam
-                draws[row, 2 * p + 1] = sigma2
-                row += 1
+    def record():
+        row = np.concatenate([theta, u, [lam, sigma2]])
+        return row, {"u": (u, lam)}, {"inv_s": inv_s, "inv_w": inv_w}
 
     names = flat_names("theta", p) + flat_names("u", p) + ["lam", "sigma2"]
-    meta = {
-        "model": "gap_sparse_regression",
-        "seed": seed,
-        "chain_id": chain,
-        "config_digest": config.digest(),
-        "wall_seconds": time.perf_counter() - t0,
-        "warmup": config.warmup,
-        "retain": config.retain,
-        "alpha": alpha,
-    }
-    return PosteriorSamples(draws[:row], names, meta)
+    return run_chain(config, step, record, names, "gap_sparse_regression",
+                     alpha=alpha)

@@ -39,12 +39,12 @@ from gapshrink.samplers.fused_probit import (
 )
 from gapshrink.samplers.matrix_smoothing import (
     v1_conditional_logpdf,
-    v1_conditional_step,
-    v2_conditional_draw,
+    v1_slice_step,
+    v2_block_draw,
     v2_conditional_logpdf,
 )
 from gapshrink.samplers.sparse_regression import (
-    dual_conditional_draw,
+    dual_block_draw,
     dual_conditional_logpdf,
 )
 
@@ -266,9 +266,10 @@ def _frozen_fused_state(seed):
 
 
 class TestCriterion9ConditionalCorrectness:
-    """Each bespoke 1-d conditional update, run as a standalone chain on a
-    frozen state, must match a generic slice reference on the same density
-    (two-sample KS, 2000 draws each)."""
+    """Each non-conjugate conditional update the samplers run, applied to a
+    frozen state (exact block draws on N copies of it, slice moves as a
+    standalone chain), must match a generic slice reference on the same
+    density (two-sample KS, 2000 draws each)."""
 
     N = 2000
 
@@ -282,9 +283,8 @@ class TestCriterion9ConditionalCorrectness:
         for i, (tj, wj, lam, alpha) in enumerate(
             [(0.8, 1.0, 1.0, 3.0), (-1.5, 0.4, 0.7, 2.0), (0.0, 2.0, 1.2, 5.0)]
         ):
-            rng = stream(100 + i)
-            draws = np.array(
-                [dual_conditional_draw(tj, wj, lam, alpha, rng) for _ in range(self.N)]
+            draws = dual_block_draw(
+                np.full(self.N, tj), np.full(self.N, wj), lam, alpha, stream(100 + i)
             )
             logf = lambda x: dual_conditional_logpdf(x, tj, wj, lam, alpha)
             x0 = lam / 2 if tj >= 0 else -lam / 2
@@ -295,9 +295,8 @@ class TestCriterion9ConditionalCorrectness:
         for i, (tij, v1, lam2, alpha) in enumerate(
             [(0.05, 0.1, 1.0, 20.0), (-0.2, 0.0, 0.5, 10.0), (0.0, 0.3, 2.0, 5.0)]
         ):
-            rng = stream(300 + i)
-            draws = np.array(
-                [v2_conditional_draw(tij, v1, lam2, alpha, rng) for _ in range(self.N)]
+            draws = v2_block_draw(
+                np.full(self.N, tij), np.full(self.N, v1), lam2, alpha, stream(300 + i)
             )
             logf = lambda x: v2_conditional_logpdf(x, tij, v1, lam2, alpha)
             ref = _slice_chain(logf, 0.0, lam2 / 2, stream(400 + i), n=self.N)
@@ -312,12 +311,13 @@ class TestCriterion9ConditionalCorrectness:
             ]
         ):
             rng = stream(500 + i)
+            width = 3.0 / (1.0 + coup)
             x = 0.0
             draws = np.empty(self.N)
             for k in range(200):
-                x = v1_conditional_step(x, tij, c2, coup, r2m, alpha, rng)
+                x = v1_slice_step(x, alpha * tij, c2, coup, r2m, width, rng)
             for k in range(self.N * 5):
-                x = v1_conditional_step(x, tij, c2, coup, r2m, alpha, rng)
+                x = v1_slice_step(x, alpha * tij, c2, coup, r2m, width, rng)
                 if k % 5 == 4:
                     draws[k // 5] = x
             logf = lambda y: v1_conditional_logpdf(y, tij, c2, coup, r2m, alpha)

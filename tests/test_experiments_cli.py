@@ -108,6 +108,14 @@ class TestThresholds:
         assert set(t) >= {"exp1", "exp2", "exp3", "gap_check"}
         assert t["exp2"]["sigma2_range"] == [0.07, 0.12]
 
+    def test_gap_check_verdict_reads_thresholds(self, tmp_path):
+        t = load_thresholds()
+        t["gap_check"]["min_gap"] = 1.0
+        cfg = ExperimentConfig(
+            experiment="gap-check", out_dir=str(tmp_path), thresholds=t
+        )
+        assert not run_experiment(cfg).passed
+
 
 class TestWorkerPool:
     def test_env_caps_workers(self, monkeypatch):
@@ -169,6 +177,14 @@ class TestCLI:
         path = tmp_path / "exp1" / "rep0_gap_shrinkage.csv"
         data = np.loadtxt(path, delimiter=",", skiprows=1)
         assert data.shape[0] == 7
+
+    def test_unknown_config_key_rejected(self, tmp_path, capsys):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"retain": 7, "warmpu": 3}))
+        code = main(["exp1", "--out", str(tmp_path), "--config", str(cfg_file)])
+        assert code == 2
+        assert "warmpu" in capsys.readouterr().err
+        assert not (tmp_path / "exp1").exists()
 
     def test_gap_check_subcommand(self, tmp_path, capsys):
         code = main(["gap-check", "--out", str(tmp_path)])

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gapshrink.certify import check_gap_nonnegativity
 from gapshrink.errors import DimensionError, UnsupportedPenaltyError
 from gapshrink.penalties import (
     GeneralizedL1,
@@ -130,6 +131,16 @@ class TestOperatorNorm:
 
     def test_zero_matrix(self):
         assert operator_norm(np.zeros((3, 3))) == 0.0
+
+    def test_top_right_singular_vector_orthogonal_to_ones(self):
+        M = np.array([[3.0, -3.0], [1.0, 1.0]])
+        assert operator_norm(M) == pytest.approx(3.0 * np.sqrt(2.0), rel=1e-12)
+
+    def test_nuclear_duals_scaled_feasible(self):
+        # a seed whose nuclear cases include a dual that an inexact
+        # operator norm would scale outside the operator-norm ball
+        res = check_gap_nonnegativity(10_000, seed=8938848260009)
+        assert res["min_gap"] >= -1e-10
 
 
 class TestValidation:

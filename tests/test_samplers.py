@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from gapshrink.datasets import gen_fused_probit
+from gapshrink.errors import NumericError
+from gapshrink.rng import stream
 from gapshrink.samplers import (
-    ChainState,
     SamplerConfig,
     gibbs_bayesian_lasso,
     gibbs_fused_probit,
@@ -11,6 +12,8 @@ from gapshrink.samplers import (
     gibbs_matrix_smoothing,
     gibbs_sparse_regression,
 )
+from gapshrink.samplers.base import gaussian_draw
+from gapshrink.samplers.chain import check_state
 
 
 def strong_signal_data(seed=7, n=50, p=5, noise=0.01):
@@ -37,15 +40,6 @@ class TestSparseRegression:
         out = gibbs_sparse_regression(X, np.zeros(60), cfg)
         assert np.max(np.abs(out.columns("theta_").mean(axis=0))) < 0.1
 
-    def test_deterministic(self):
-        X, y, _ = strong_signal_data()
-        cfg = SamplerConfig(warmup=50, retain=50, seed=5, alpha=100.0)
-        a = gibbs_sparse_regression(X, y, cfg)
-        b = gibbs_sparse_regression(X, y, cfg)
-        np.testing.assert_array_equal(a.draws, b.draws)
-        assert a.names == b.names
-        assert a.meta["config_digest"] == b.meta["config_digest"]
-
     def test_every_draw_dual_feasible(self):
         X, y, _ = strong_signal_data()
         cfg = SamplerConfig(warmup=200, retain=200, seed=6, alpha=500.0)
@@ -58,12 +52,6 @@ class TestSparseRegression:
         gaps = np.sum((lam[:, None] - np.abs(u)) * np.abs(theta), axis=1)
         assert np.all(np.isfinite(gaps))
         assert np.all(gaps >= -1e-10)
-
-    def test_thinning_row_count(self):
-        X, y, _ = strong_signal_data()
-        cfg = SamplerConfig(warmup=20, retain=60, seed=1, alpha=10.0, thinning=3)
-        out = gibbs_sparse_regression(X, y, cfg)
-        assert out.draws.shape[0] == 20
 
 
 class TestComparators:
@@ -83,13 +71,6 @@ class TestComparators:
         cfg = SamplerConfig(warmup=300, retain=300, seed=9)
         out = sampler(X, np.zeros(60), cfg)
         assert np.max(np.abs(out.columns("theta_").mean(axis=0))) < 0.1
-
-    def test_deterministic(self):
-        X, y, _ = strong_signal_data()
-        cfg = SamplerConfig(warmup=50, retain=50, seed=5)
-        a = gibbs_bayesian_lasso(X, y, cfg)
-        b = gibbs_bayesian_lasso(X, y, cfg)
-        np.testing.assert_array_equal(a.draws, b.draws)
 
 
 class TestMatrixSmoothing:
@@ -121,14 +102,6 @@ class TestMatrixSmoothing:
         v1 = out.columns("V1_")
         lam1 = out.column("lam1")
         np.testing.assert_allclose(np.linalg.norm(v1, axis=1), lam1, rtol=1e-10)
-
-    def test_deterministic(self):
-        rng = np.random.default_rng(7)
-        Y = rng.standard_normal((10, 4, 3))
-        cfg = SamplerConfig(warmup=30, retain=30, seed=11, alpha=20.0, rank=2)
-        a = gibbs_matrix_smoothing(Y, cfg)
-        b = gibbs_matrix_smoothing(Y, cfg)
-        np.testing.assert_array_equal(a.draws, b.draws)
 
     def test_rank_cap(self):
         with pytest.raises(ValueError):
@@ -188,13 +161,6 @@ class TestFusedProbit:
         out = gibbs_fused_probit(Y, X, deps, cfg)
         assert np.all(out.column("tau2") > 0)
 
-    def test_deterministic(self):
-        Y, X, deps, _ = gen_fused_probit(42, m=4, p=2, n=200)
-        cfg = SamplerConfig(warmup=40, retain=40, seed=15, alpha=100.0)
-        a = gibbs_fused_probit(Y, X, deps, cfg)
-        b = gibbs_fused_probit(Y, X, deps, cfg)
-        np.testing.assert_array_equal(a.draws, b.draws)
-
     def test_empty_department_rejected(self):
         Y, X, _, _ = gen_fused_probit(42, m=4, p=2, n=50)
         with pytest.raises(ValueError):
@@ -218,25 +184,82 @@ class TestConjugateUpdates:
 
 
 class TestChainState:
-    def _state(self, u_val=0.5, scale=1.0):
-        return ChainState(
-            latents={"theta": np.array([1.0, -2.0])},
-            duals={"u": np.array([u_val, -u_val])},
-            scales={"inv_s": np.array([scale, scale])},
-            hypers={"lam": 1.0},
-            rng_key=(0, 0),
+    """The state check the chain driver applies at every kept draw."""
+
+    def _check(self, u_val=0.5, scale=1.0):
+        check_state(
+            {"u": (np.array([u_val, -u_val]), 1.0)},
+            {"inv_s": np.array([scale, scale])},
         )
 
     def test_valid_state_passes(self):
-        self._state().validate({"u": 1.0})
+        self._check()
 
     def test_dual_outside_box_rejected(self):
         with pytest.raises(ValueError):
-            self._state(u_val=1.5).validate({"u": 1.0})
+            self._check(u_val=1.5)
 
     def test_nonpositive_scale_rejected(self):
         with pytest.raises(ValueError):
-            self._state(scale=0.0).validate({"u": 1.0})
+            self._check(scale=0.0)
+
+
+def _run_regression(sampler):
+    def run(cfg):
+        X, y, _ = strong_signal_data()
+        return sampler(X, y, cfg)
+
+    return run
+
+
+def _run_matrix_smoothing(cfg):
+    Y = np.random.default_rng(7).standard_normal((10, 4, 3))
+    return gibbs_matrix_smoothing(Y, cfg)
+
+
+def _run_fused_probit(cfg):
+    Y, X, deps, _ = gen_fused_probit(42, m=4, p=2, n=200)
+    return gibbs_fused_probit(Y, X, deps, cfg)
+
+
+# (runner, model-specific config fields) for every sampler the chain drives
+CHAINS = {
+    "sparse_regression": (_run_regression(gibbs_sparse_regression), {"alpha": 100.0}),
+    "bayesian_lasso": (_run_regression(gibbs_bayesian_lasso), {}),
+    "gdp": (_run_regression(gibbs_gdp), {}),
+    "matrix_smoothing": (_run_matrix_smoothing, {"alpha": 20.0, "rank": 2}),
+    "fused_probit": (_run_fused_probit, {"alpha": 100.0}),
+    "fused_probit_intercept": (
+        _run_fused_probit, {"alpha": 100.0, "random_intercept": True}
+    ),
+}
+
+
+class TestChainDriver:
+    @pytest.mark.parametrize("chain", CHAINS)
+    def test_deterministic(self, chain):
+        run, extra = CHAINS[chain]
+        cfg = SamplerConfig(warmup=30, retain=30, seed=5, **extra)
+        a = run(cfg)
+        b = run(cfg)
+        np.testing.assert_array_equal(a.draws, b.draws)
+        assert a.names == b.names
+        assert a.meta["config_digest"] == b.meta["config_digest"]
+
+    @pytest.mark.parametrize("chain", CHAINS)
+    def test_thinning_row_count(self, chain):
+        run, extra = CHAINS[chain]
+        # 62 retained sweeps at thinning 3 offer 21 rows; the driver keeps 20
+        cfg = SamplerConfig(warmup=10, retain=62, seed=1, thinning=3, **extra)
+        out = run(cfg)
+        assert out.draws.shape == (20, len(out.names))
+
+
+class TestGaussianDraw:
+    def test_indefinite_precision_raises(self):
+        prec = np.array([[1.0, 2.0], [2.0, 1.0]])
+        with pytest.raises(NumericError):
+            gaussian_draw(prec, np.ones(2), stream(0))
 
 
 class TestConfig:
