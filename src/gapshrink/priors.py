@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import DimensionError
 from .gaps import l1_gap, variational_nuclear_gap
@@ -211,6 +210,10 @@ def marginal_l1_prior(theta_j, lam, alpha):
     Integrates exp(-alpha (lam - |u|) |theta|) / (1 + (theta + u)^2) over
     u in [-lam, lam], splitting at the |u| kink.
     """
+    # imported here: scipy.integrate pulls in scipy.optimize and
+    # scipy.sparse, which nothing else in the package needs
+    from scipy.integrate import quad
+
     if lam <= 0 or alpha <= 0:
         raise ValueError("lam and alpha must be positive")
     t = float(theta_j)

@@ -156,22 +156,3 @@ def slice_sample_1d(logf, x0, width, rng, bounds=(-math.inf, math.inf),
         else:
             right = x1
     raise RuntimeError("slice sampler failed to find an acceptable point")
-
-
-class BufferedUniform:
-    """Uniform(0,1) source drawing from the generator in blocks; drop-in for
-    hot scalar loops where per-call generator overhead dominates."""
-
-    def __init__(self, rng, block=8192):
-        self._rng = rng
-        self._block = block
-        self._buf = rng.uniform(size=block)
-        self._pos = 0
-
-    def uniform(self):
-        if self._pos >= self._buf.size:
-            self._buf = self._rng.uniform(size=self._block)
-            self._pos = 0
-        value = self._buf[self._pos]
-        self._pos += 1
-        return value

@@ -7,8 +7,10 @@ V1 (nuclear side, with strength tied as lam1 = ||V1||_F, which keeps V1
 operator-norm feasible for free) and V2 (elementwise box |V2| <= lam2).
 Rows of A and B are jointly Gaussian given the elementwise exponential
 scale mixture for the lam2 ||theta||_1 factor; V2 coordinates are
-truncated normals; V1 coordinates move by slice sampling because lam1
-rides along with every entry.
+truncated normals; V1 moves as one block through the normal scale-mixture
+form of its group-lasso factor exp(-coupling ||V1||_F) (Kyung, Gill,
+Ghosh & Casella 2010): a latent scale given V1, then independent normal
+entries given the scale.
 """
 
 from __future__ import annotations
@@ -17,13 +19,7 @@ import math
 
 import numpy as np
 
-from ..rng import (
-    BufferedUniform,
-    inverse_gaussian,
-    slice_sample_1d,
-    stream,
-    truncated_normal,
-)
+from ..rng import inverse_gaussian, slice_sample_1d, stream, truncated_normal
 from .base import flat_names
 from .chain import run_chain
 
@@ -32,7 +28,7 @@ __all__ = [
     "v2_conditional_logpdf",
     "v2_block_draw",
     "v1_conditional_logpdf",
-    "v1_slice_step",
+    "v1_block_draw",
 ]
 
 _ROWS_A, _ROWS_B, _SCALES, _V2, _V1, _SIGMA, _LAM2, _INIT = range(8)
@@ -40,7 +36,6 @@ _ROWS_A, _ROWS_B, _SCALES, _V2, _V1, _SIGMA, _LAM2, _INIT = range(8)
 _EPS_ABS = 1e-8
 # Gaussian base kernel on the anchor has variance 100 per entry
 _KERNEL_VAR = 100.0
-_INV_TWO_VAR = 1.0 / (2.0 * _KERNEL_VAR)
 
 
 def v2_conditional_logpdf(x, theta_ij, v1_ij, lam2, alpha):
@@ -69,19 +64,25 @@ def v1_conditional_logpdf(x, theta_ij, c2_ij, coupling, r2_rest, alpha):
     )
 
 
-def v1_slice_step(x0, alpha_theta, c2, coupling, r2_rest, width, rng):
-    """One slice move on a nuclear-dual entry, leaving
-    v1_conditional_logpdf invariant; alpha_theta is alpha * theta_ij and c2
-    is theta_ij + V2_ij.  rng needs only a uniform() method."""
+def v1_block_draw(theta, V1, V2, coupling, alpha, rng):
+    """One data-augmentation move on the whole nuclear dual V1, leaving
+    the joint density of v1_conditional_logpdf invariant.
 
-    def logf(x):
-        return (
-            alpha_theta * x
-            - coupling * math.sqrt(r2_rest + x * x)
-            - (c2 + x) * (c2 + x) * _INV_TWO_VAR
-        )
-
-    return slice_sample_1d(logf, x0, width, rng)
+    With d entries, exp(-c ||V1||_F) is the marginal of N(V1; 0, tau I)
+    under tau ~ Gamma((d + 1) / 2, rate c^2 / 2).  Given V1, 1/tau is
+    inverse-Gaussian (mean c / ||V1||_F, shape c^2), or tau is
+    Gamma(1/2, rate c^2 / 2) when V1 = 0; given tau the entries are
+    independent normals.  tau is discarded after the draw.
+    """
+    c = float(coupling)
+    r = float(np.linalg.norm(V1))
+    if r > 0.0:
+        inv_tau = float(inverse_gaussian(c / r, c * c, rng))
+    else:
+        inv_tau = 0.5 * c * c / rng.standard_gamma(0.5)
+    prec = inv_tau + 1.0 / _KERNEL_VAR
+    lin = alpha * theta - (theta + V2) / _KERNEL_VAR
+    return lin / prec + rng.standard_normal(np.shape(theta)) / math.sqrt(prec)
 
 
 def _draw_rows(G, base_prec, ridge, rhs, rng):
@@ -102,8 +103,8 @@ def gibbs_matrix_smoothing(Y, config):
     plus the leading singular values of theta = A B^T per draw.
 
     Sweep order: rows of A, rows of B, elementwise scale mixtures, V2
-    (truncated normals), V1 (coordinatewise slice under the lam1 coupling),
-    sigma2 (conjugate), lam2 (slice on the log scale).
+    (truncated normals), V1 (one scale-mixture block move under the lam1
+    coupling), sigma2 (conjugate), lam2 (slice on the log scale).
     """
     Y = np.asarray(Y, dtype=float)
     if Y.ndim != 3:
@@ -159,25 +160,8 @@ def gibbs_matrix_smoothing(Y, config):
         V2 = v2_block_draw(theta, V1, lam2, alpha, rng)
 
         rng = stream(seed, chain, sweep, _V1)
-        buf = BufferedUniform(rng)
         coupling = alpha * 0.5 * (float(np.sum(A * A)) + float(np.sum(B * B)))
-        atheta = (alpha * theta).ravel().tolist()
-        c2 = (theta + V2).ravel().tolist()
-        v1 = V1.ravel().tolist()
-        r2 = math.fsum(x * x for x in v1)
-        # bracket width from the chain's own coordinate scale; the fallback
-        # covers the cold start where V1 is still zero
-        rms = math.sqrt(r2 / max(len(v1), 1))
-        width = min(10.0, max(4.0 * rms, 3.0 / (1.0 + coupling), 1e-9))
-        for idx in range(len(v1)):
-            x_old = v1[idx]
-            r2_rest = max(r2 - x_old * x_old, 0.0)
-            x_new = v1_slice_step(
-                x_old, atheta[idx], c2[idx], coupling, r2_rest, width, buf
-            )
-            v1[idx] = x_new
-            r2 = r2_rest + x_new * x_new
-        V1 = np.array(v1).reshape(p1, p2)
+        V1 = v1_block_draw(theta, V1, V2, coupling, alpha, rng)
 
         rng = stream(seed, chain, sweep, _SIGMA)
         shape = a_sig + 0.5 * S * p1 * p2

@@ -38,8 +38,8 @@ from gapshrink.samplers.fused_probit import (
     rho_conditional_step,
 )
 from gapshrink.samplers.matrix_smoothing import (
+    v1_block_draw,
     v1_conditional_logpdf,
-    v1_slice_step,
     v2_block_draw,
     v2_conditional_logpdf,
 )
@@ -252,6 +252,24 @@ def _slice_chain(logpdf, x0, width, rng, n=2000, warmup=200, thin=5,
     return out
 
 
+def _v1_slice_scan(theta, c2, coupling, alpha, width, rng, n=2000,
+                   warmup=200, thin=20):
+    """Systematic-scan slice chain on the joint nuclear-dual conditional,
+    each entry moved under v1_conditional_logpdf given the others."""
+    x = np.zeros(theta.size)
+    out = np.empty((n, theta.size))
+    for sweep in range(warmup + n * thin):
+        for j in range(x.size):
+            r2_rest = float(np.sum(x * x)) - x[j] * x[j]
+            logf = lambda y: v1_conditional_logpdf(
+                y, theta[j], c2[j], coupling, max(r2_rest, 0.0), alpha
+            )
+            x[j] = slice_sample_1d(logf, x[j], width, rng)
+        if sweep >= warmup and (sweep - warmup) % thin == thin - 1:
+            out[(sweep - warmup) // thin] = x
+    return out
+
+
 def _frozen_fused_state(seed):
     rng = stream(seed, 0, 0, 1)
     graph = complete_graph([[0, 1], [2]])
@@ -267,9 +285,9 @@ def _frozen_fused_state(seed):
 
 class TestCriterion9ConditionalCorrectness:
     """Each non-conjugate conditional update the samplers run, applied to a
-    frozen state (exact block draws on N copies of it, slice moves as a
-    standalone chain), must match a generic slice reference on the same
-    density (two-sample KS, 2000 draws each)."""
+    frozen state (exact block draws on N copies of it, slice moves and the
+    nuclear-dual block move as standalone chains), must match a generic
+    slice reference on the same density (two-sample KS, 2000 draws each)."""
 
     N = 2000
 
@@ -302,27 +320,33 @@ class TestCriterion9ConditionalCorrectness:
             ref = _slice_chain(logf, 0.0, lam2 / 2, stream(400 + i), n=self.N)
             results[f"V2[{i}]"] = self._ks(draws, ref)
 
-        # matrix nuclear dual: sampler slice vs differently-tuned slice
-        for i, (tij, c2, coup, r2m, alpha) in enumerate(
-            [
-                (0.3, 0.2, 5.0, 0.04, 2.0),
-                (-0.5, 0.1, 20.0, 0.5, 10.0),
-                (0.0, -0.4, 1.0, 0.0, 1.0),
-            ]
+        # matrix nuclear dual: the sampler's block move on a 2x3 V1 vs a
+        # systematic-scan slice chain on the same joint density, compared
+        # per entry and on ||V1||_F
+        for i, (tij, c2, coup, alpha) in enumerate(
+            [(0.3, 0.2, 5.0, 2.0), (-0.5, 0.1, 20.0, 10.0), (0.0, -0.4, 1.0, 1.0)]
         ):
+            rng0 = stream(500 + i, 0, 0, 1)
+            theta = tij + 0.2 * rng0.standard_normal((2, 3))
+            V2 = c2 - theta + 0.2 * rng0.standard_normal((2, 3))
             rng = stream(500 + i)
-            width = 3.0 / (1.0 + coup)
-            x = 0.0
-            draws = np.empty(self.N)
+            V1 = np.zeros((2, 3))
+            draws = np.empty((self.N, 6))
             for k in range(200):
-                x = v1_slice_step(x, alpha * tij, c2, coup, r2m, width, rng)
-            for k in range(self.N * 5):
-                x = v1_slice_step(x, alpha * tij, c2, coup, r2m, width, rng)
-                if k % 5 == 4:
-                    draws[k // 5] = x
-            logf = lambda y: v1_conditional_logpdf(y, tij, c2, coup, r2m, alpha)
-            ref = _slice_chain(logf, 0.5, 2.0, stream(600 + i), n=self.N)
-            results[f"V1[{i}]"] = self._ks(draws, ref)
+                V1 = v1_block_draw(theta, V1, V2, coup, alpha, rng)
+            for k in range(self.N * 10):
+                V1 = v1_block_draw(theta, V1, V2, coup, alpha, rng)
+                if k % 10 == 9:
+                    draws[k // 10] = V1.ravel()
+            ref = _v1_slice_scan(
+                theta.ravel(), (theta + V2).ravel(), coup, alpha,
+                3.0 / (1.0 + coup), stream(600 + i), n=self.N, thin=20,
+            )
+            for j in range(6):
+                results[f"V1[{i}][{j}]"] = self._ks(draws[:, j], ref[:, j])
+            results[f"|V1[{i}]|"] = self._ks(
+                np.linalg.norm(draws, axis=1), np.linalg.norm(ref, axis=1)
+            )
 
         # smoothing strength: log-scale slice vs linear-scale slice
         for i in range(3):

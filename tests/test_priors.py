@@ -1,7 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import gapshrink
 from gapshrink.priors import (
     BaseKernel,
     EdgeGraph,
@@ -132,6 +138,27 @@ class TestMarginalPrior:
     def test_value_at_origin(self):
         # gap factor is identically 1 at theta = 0, leaving the Cauchy mass
         assert marginal_l1_prior(0.0, 1.0, 1.0) == pytest.approx(np.pi / 2, rel=1e-8)
+
+    def test_import_leaves_quadrature_stack_unloaded(self):
+        # scipy.integrate (with scipy.optimize and scipy.sparse) loads only
+        # when the quadrature marginal is first called
+        code = (
+            "import math, sys, gapshrink\n"
+            "heavy = ('scipy.integrate', 'scipy.optimize', 'scipy.sparse')\n"
+            "print(sorted(m for m in heavy if m in sys.modules))\n"
+            "v = gapshrink.marginal_l1_prior(0, 1, 1)\n"
+            "print(abs(v - math.pi / 2) <= 1e-8 * math.pi / 2)\n"
+        )
+        src = str(Path(gapshrink.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True,
+            text=True, check=True, timeout=120,
+        )
+        assert out.stdout.split("\n")[:2] == ["[]", "True"]
 
     def test_tail_lower_bound(self):
         for theta in (5.0, 10.0, 20.0, 40.0):

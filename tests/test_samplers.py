@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.stats import kstest
 
 from gapshrink.datasets import gen_fused_probit
 from gapshrink.errors import NumericError
@@ -14,6 +15,7 @@ from gapshrink.samplers import (
 )
 from gapshrink.samplers.base import gaussian_draw
 from gapshrink.samplers.chain import check_state
+from gapshrink.samplers.matrix_smoothing import v1_block_draw, v1_conditional_logpdf
 
 
 def strong_signal_data(seed=7, n=50, p=5, noise=0.01):
@@ -102,6 +104,37 @@ class TestMatrixSmoothing:
         v1 = out.columns("V1_")
         lam1 = out.column("lam1")
         np.testing.assert_allclose(np.linalg.norm(v1, axis=1), lam1, rtol=1e-10)
+
+    def test_v1_block_draw_cold_start_reproducible(self):
+        rng0 = np.random.default_rng(11)
+        theta = rng0.standard_normal((4, 3))
+        V2 = 0.1 * rng0.standard_normal((4, 3))
+        a = v1_block_draw(theta, np.zeros((4, 3)), V2, 7.0, 5.0, stream(3, 0, 1, 4))
+        b = v1_block_draw(theta, np.zeros((4, 3)), V2, 7.0, 5.0, stream(3, 0, 1, 4))
+        assert a.shape == (4, 3) and np.all(np.isfinite(a))
+        assert a.tobytes() == b.tobytes()
+
+    def test_v1_block_draw_matches_exact_cdf_1x1(self):
+        # with one entry the conditional is known up to a constant; its CDF
+        # comes from quadrature on a fine grid
+        theta, c2, coupling, alpha = 0.3, 0.2, 5.0, 2.0
+        grid = np.linspace(-10.0, 10.0, 400001)
+        logf = np.array(
+            [v1_conditional_logpdf(x, theta, c2, coupling, 0.0, alpha) for x in grid]
+        )
+        dens = np.exp(logf - logf.max())
+        cdf = np.concatenate([[0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1]))])
+        cdf /= cdf[-1]
+        rng = stream(21)
+        T = np.array([[theta]])
+        V2 = np.array([[c2 - theta]])
+        V1 = np.zeros((1, 1))
+        draws = np.empty(2000)
+        for k in range(200 + 2000 * 10):
+            V1 = v1_block_draw(T, V1, V2, coupling, alpha, rng)
+            if k >= 200 and k % 10 == 9:
+                draws[(k - 200) // 10] = V1[0, 0]
+        assert kstest(draws, lambda x: np.interp(x, grid, cdf)).pvalue > 0.01
 
     def test_rank_cap(self):
         with pytest.raises(ValueError):
