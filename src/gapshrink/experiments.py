@@ -272,7 +272,11 @@ def _exp3_rep(payload):
         "omega_cross_mean": omega_mean,
         "dual_feasible_all": feas,
     }
-    passed = metrics["max_within_dept_diff"] <= limits["within_dept_diff_max"] and feas
+    passed = (
+        metrics["max_within_dept_diff"] <= limits["within_dept_diff_max"]
+        and omega_mean <= limits["omega_cross_max"]
+        and feas
+    )
     if deviant_diffs and within_plain:
         ratio = min(deviant_diffs) / max(max(within_plain), 1e-6)
         metrics["deviant_ratio"] = float(ratio)

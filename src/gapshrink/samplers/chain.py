@@ -8,6 +8,7 @@ import time
 
 import numpy as np
 
+from ..errors import NumericError
 from .base import PosteriorSamples
 
 __all__ = ["run_chain", "check_state"]
@@ -40,13 +41,22 @@ def run_chain(config, step, record, names, model, **meta):
     current state: the row of values labelled by names, and the arguments of
     check_state.  meta holds the model's own entries, appended to the
     common ones.
+
+    A NumericError raised by step is re-raised naming its seed, chain and
+    sweep; the streams are keyed by that coordinate, so it replays exactly.
     """
     kept = config.retain // config.thinning
     draws = np.empty((kept, len(names)))
     row = 0
     t0 = time.perf_counter()
     for sweep in range(1, config.warmup + config.retain + 1):
-        step(sweep)
+        try:
+            step(sweep)
+        except NumericError as exc:
+            raise NumericError(
+                f"{exc} (seed {config.seed}, chain {config.chain_id}, "
+                f"sweep {sweep})"
+            ) from exc
         k = sweep - config.warmup - 1
         if k >= 0 and k % config.thinning == 0 and row < kept:
             values, duals, scales = record()

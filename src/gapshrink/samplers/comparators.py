@@ -7,15 +7,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..rng import inverse_gaussian, slice_sample_1d, stream
-from .base import flat_names, gaussian_draw
+from ..rng import slice_sample_1d, stream
+from .base import flat_names, gaussian_draw, laplace_mixture_precision
 from .chain import run_chain
 
 __all__ = ["gibbs_bayesian_lasso", "gibbs_gdp"]
 
 _SCALES, _THETA, _LAM, _SIGMA, _INIT = range(5)
-
-_EPS_ABS = 1e-8
 
 
 def gibbs_bayesian_lasso(X, y, config):
@@ -46,9 +44,9 @@ def gibbs_bayesian_lasso(X, y, config):
     def step(sweep):
         nonlocal theta, lam, sigma2
         rng = stream(seed, chain, sweep, _SCALES)
-        abs_theta = np.maximum(np.abs(theta), _EPS_ABS)
-        inv_tau2 = inverse_gaussian(
-            lam * np.sqrt(sigma2) / abs_theta, np.full(p, lam * lam), rng
+        # as an array, the rate squares to the exact product lam * lam
+        inv_tau2 = laplace_mixture_precision(
+            theta, np.full(p, lam), rng, scale=np.sqrt(sigma2)
         )
         tau2 = 1.0 / inv_tau2
 
@@ -111,12 +109,10 @@ def gibbs_gdp(X, y, config):
         nonlocal theta, sigma2
         rng = stream(seed, chain, sweep, _SCALES)
         sigma = np.sqrt(sigma2)
-        abs_theta = np.maximum(np.abs(theta), _EPS_ABS)
         lam_j = rng.standard_gamma(a_gdp + 1.0, size=p) / (
-            eta + abs_theta / sigma
+            eta + np.abs(theta) / sigma
         )
-        lam_j = np.maximum(lam_j, _EPS_ABS)
-        inv_s = inverse_gaussian(lam_j * sigma / abs_theta, lam_j**2, rng)
+        inv_s = laplace_mixture_precision(theta, lam_j, rng, scale=sigma)
 
         rng = stream(seed, chain, sweep, _THETA)
         np.copyto(prec, XtX)

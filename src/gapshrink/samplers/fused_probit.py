@@ -16,8 +16,8 @@ import math
 import numpy as np
 
 from ..priors import complete_graph
-from ..rng import slice_sample_1d, stream, truncated_normal, inverse_gaussian
-from .base import flat_names
+from ..rng import slice_sample_1d, stream, truncated_normal
+from .base import flat_names, gaussian_draw, laplace_mixture_precision
 from .chain import run_chain
 
 __all__ = [
@@ -32,7 +32,6 @@ __all__ = [
 
 _LATENT, _SCALES, _THETA, _DUAL, _RHO, _OMEGA, _INTERCEPT, _INIT = range(8)
 
-_EPS_ABS = 1e-8
 _KERNEL_VAR = 100.0
 
 
@@ -60,19 +59,14 @@ def rho_conditional_logpdf(x, sum_w_absdiff, sum_w_vunit_d, theta, q_unit,
 
 def rho_conditional_step(x0, sum_w_absdiff, sum_w_vunit_d, theta, q_unit,
                          alpha, rng, ig=(2.0, 1.0), width=1.0):
-    """One slice move on log rho against the scaled-dual conditional."""
-    a, b = ig
+    """One slice move on log rho against rho_conditional_logpdf."""
 
     def logf(ell):
-        # includes the log-scale Jacobian
-        x = math.exp(ell)
-        anchor = theta + x * q_unit
-        return (
-            -a * ell
-            - b / x
-            - alpha * x * (sum_w_absdiff - sum_w_vunit_d)
-            - float(np.sum(anchor * anchor)) / (2.0 * _KERNEL_VAR)
-        )
+        # ell is the log-scale Jacobian
+        return rho_conditional_logpdf(
+            math.exp(ell), sum_w_absdiff, sum_w_vunit_d, theta, q_unit,
+            alpha, ig,
+        ) + ell
 
     return float(math.exp(slice_sample_1d(logf, math.log(x0), width, rng)))
 
@@ -192,9 +186,7 @@ def gibbs_fused_probit(Y, X, taxonomy, config):
 
         rng = stream(seed, chain, sweep, _SCALES)
         d = B @ theta
-        rate = np.maximum(alpha * rho * w, _EPS_ABS)[:, None]
-        abs_d = np.maximum(np.abs(d), _EPS_ABS)
-        inv_s = inverse_gaussian(rate / abs_d, np.broadcast_to(rate**2, d.shape), rng)
+        inv_s = laplace_mixture_precision(d, (alpha * rho * w)[:, None], rng)
 
         rng = stream(seed, chain, sweep, _THETA)
         wv = w[:, None] * v
@@ -205,9 +197,7 @@ def gibbs_fused_probit(Y, X, taxonomy, config):
             prec = B.T @ (inv_s[:, k, None] * B)
             prec[np.diag_indices_from(prec)] += x2[k] + 1.0 / _KERNEL_VAR
             lin = X[:, k] @ resid + (alpha - 1.0 / _KERNEL_VAR) * q[:, k]
-            L = np.linalg.cholesky(prec)
-            mean = np.linalg.solve(L.T, np.linalg.solve(L, lin))
-            new_col = mean + np.linalg.solve(L.T, rng.standard_normal(m))
+            new_col = gaussian_draw(prec, lin, rng)
             M += np.outer(X[:, k], new_col - theta[:, k])
             theta[:, k] = new_col
 

@@ -20,7 +20,7 @@ import math
 import numpy as np
 
 from ..rng import inverse_gaussian, slice_sample_1d, stream, truncated_normal
-from .base import flat_names
+from .base import flat_names, gaussian_draw, laplace_mixture_precision
 from .chain import run_chain
 
 __all__ = [
@@ -33,7 +33,6 @@ __all__ = [
 
 _ROWS_A, _ROWS_B, _SCALES, _V2, _V1, _SIGMA, _LAM2, _INIT = range(8)
 
-_EPS_ABS = 1e-8
 # Gaussian base kernel on the anchor has variance 100 per entry
 _KERNEL_VAR = 100.0
 
@@ -85,19 +84,6 @@ def v1_block_draw(theta, V1, V2, coupling, alpha, rng):
     return lin / prec + rng.standard_normal(np.shape(theta)) / math.sqrt(prec)
 
 
-def _draw_rows(G, base_prec, ridge, rhs, rng):
-    """Batched draws from per-row Gaussians N(Q^-1 rhs, Q^-1) with
-    Q = G + base_prec + ridge * I, G stacked per row."""
-    rows, r = rhs.shape
-    Q = G + base_prec[None, :, :]
-    Q[:, np.arange(r), np.arange(r)] += ridge
-    L = np.linalg.cholesky(Q)
-    mean = np.linalg.solve(Q, rhs[..., None])[..., 0]
-    z = rng.standard_normal((rows, r, 1))
-    noise = np.linalg.solve(np.transpose(L, (0, 2, 1)), z)[..., 0]
-    return mean + noise
-
-
 def gibbs_matrix_smoothing(Y, config):
     """Run one chain; returns draws of (A, B, V1, V2, sigma2, lam1, lam2)
     plus the leading singular values of theta = A B^T per draw.
@@ -130,31 +116,34 @@ def gibbs_matrix_smoothing(Y, config):
     sigma2 = float(np.var(Y)) or 1.0
     lam2 = 1.0
     theta = None
+    diag = np.arange(r)
 
     def step(sweep):
         nonlocal A, B, V1, V2, inv_s, sigma2, lam2, theta
         lam1 = float(np.linalg.norm(V1))
         V = V1 + V2
 
+        # one r x r precision per row: the row's own scale-weighted Gram
+        # matrix, the shared likelihood term and the nuclear ridge
         rng = stream(seed, chain, sweep, _ROWS_A)
         like_w = S / sigma2 + 1.0 / _KERNEL_VAR
-        G = np.einsum("jk,ij,jl->ikl", B, inv_s, B)
+        prec = np.einsum("jk,ij,jl->ikl", B, inv_s, B) + like_w * (B.T @ B)
+        prec[:, diag, diag] += alpha * lam1
         rhs = (S / sigma2) * (Ybar @ B) + (alpha - 1.0 / _KERNEL_VAR) * (V @ B)
-        A = _draw_rows(G, like_w * (B.T @ B), alpha * lam1, rhs, rng)
+        A = gaussian_draw(prec, rhs, rng)
 
         rng = stream(seed, chain, sweep, _ROWS_B)
-        G = np.einsum("ik,ij,il->jkl", A, inv_s, A)
+        prec = np.einsum("ik,ij,il->jkl", A, inv_s, A) + like_w * (A.T @ A)
+        prec[:, diag, diag] += alpha * lam1
         rhs = (S / sigma2) * (Ybar.T @ A) + (alpha - 1.0 / _KERNEL_VAR) * (
             V.T @ A
         )
-        B = _draw_rows(G, like_w * (A.T @ A), alpha * lam1, rhs, rng)
+        B = gaussian_draw(prec, rhs, rng)
 
         theta = A @ B.T
 
         rng = stream(seed, chain, sweep, _SCALES)
-        rate = max(alpha * lam2, _EPS_ABS)
-        abs_theta = np.maximum(np.abs(theta), _EPS_ABS)
-        inv_s = inverse_gaussian(rate / abs_theta, np.full_like(theta, rate**2), rng)
+        inv_s = laplace_mixture_precision(theta, alpha * lam2, rng)
 
         rng = stream(seed, chain, sweep, _V2)
         V2 = v2_block_draw(theta, V1, lam2, alpha, rng)

@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..rng import inverse_gaussian, slice_sample_1d, stream, truncated_normal
-from .base import flat_names, gaussian_draw
+from ..rng import slice_sample_1d, stream, truncated_normal
+from .base import flat_names, gaussian_draw, laplace_mixture_precision
 from .chain import run_chain
 
 __all__ = [
@@ -26,8 +26,6 @@ __all__ = [
 ]
 
 _SCALES, _THETA, _DUAL, _LAM, _SIGMA, _INIT = range(6)
-
-_EPS_ABS = 1e-8
 
 
 def dual_conditional_logpdf(x, theta_j, w_j, lam, alpha):
@@ -87,9 +85,7 @@ def gibbs_sparse_regression(X, y, config):
     def step(sweep):
         nonlocal theta, u, lam, sigma2, inv_s, inv_w
         rng = stream(seed, chain, sweep, _SCALES)
-        a = np.maximum(alpha * (lam - np.abs(u)), _EPS_ABS)
-        abs_theta = np.maximum(np.abs(theta), _EPS_ABS)
-        inv_s = inverse_gaussian(a / abs_theta, a * a, rng)
+        inv_s = laplace_mixture_precision(theta, alpha * (lam - np.abs(u)), rng)
         resid_ku = theta + u
         w = ((1.0 + resid_ku**2) / 2.0) / rng.standard_gamma(1.0, size=p)
         inv_w = 1.0 / w

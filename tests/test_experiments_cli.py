@@ -116,6 +116,26 @@ class TestThresholds:
         )
         assert not run_experiment(cfg).passed
 
+    def test_exp3_verdict_reads_omega_cross_max(self, tmp_path):
+        # a short exp3 run that passes at the shipped bounds fails once the
+        # cross-group weight bound is 0
+        t = load_thresholds()
+        verdicts = []
+        for bound in (t["exp3"]["omega_cross_max"], 0.0):
+            t["exp3"]["omega_cross_max"] = bound
+            cfg = ExperimentConfig(
+                experiment="exp3",
+                replications=1,
+                sampler=tiny_sampler(warmup=50, retain=50, alpha=1000.0),
+                out_dir=str(tmp_path / str(bound)),
+                thresholds=t,
+            )
+            report = run_experiment(
+                cfg, exp3_gen_kwargs={"m": 4, "p": 2, "n": 200, "deviant": 0}
+            )
+            verdicts.append(report.passed)
+        assert verdicts == [True, False]
+
 
 class TestWorkerPool:
     def test_env_caps_workers(self, monkeypatch):

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
-from scipy.stats import kstest
+from scipy.stats import kstest, laplace
 
 from gapshrink.datasets import gen_fused_probit
 from gapshrink.errors import NumericError
-from gapshrink.rng import stream
+from gapshrink.rng import inverse_gaussian, stream
 from gapshrink.samplers import (
     SamplerConfig,
     gibbs_bayesian_lasso,
@@ -13,8 +13,8 @@ from gapshrink.samplers import (
     gibbs_matrix_smoothing,
     gibbs_sparse_regression,
 )
-from gapshrink.samplers.base import gaussian_draw
-from gapshrink.samplers.chain import check_state
+from gapshrink.samplers.base import gaussian_draw, laplace_mixture_precision
+from gapshrink.samplers.chain import check_state, run_chain
 from gapshrink.samplers.matrix_smoothing import v1_block_draw, v1_conditional_logpdf
 
 
@@ -287,12 +287,73 @@ class TestChainDriver:
         out = run(cfg)
         assert out.draws.shape == (20, len(out.names))
 
+    def test_numeric_error_names_replay_coordinate(self):
+        cfg = SamplerConfig(warmup=2, retain=3, seed=17, chain_id=4)
+        indefinite = np.array([[1.0, 2.0], [2.0, 1.0]])
+
+        def step(sweep):
+            prec = indefinite if sweep == 3 else np.eye(2)
+            gaussian_draw(prec, np.ones(2), stream(cfg.seed, cfg.chain_id, sweep))
+
+        with pytest.raises(NumericError, match=r"seed 17, chain 4, sweep 3\)"):
+            run_chain(cfg, step, lambda: ([0.0], {}, {}), ["x"], "test")
+
 
 class TestGaussianDraw:
+    N = 2000
+
     def test_indefinite_precision_raises(self):
         prec = np.array([[1.0, 2.0], [2.0, 1.0]])
         with pytest.raises(NumericError):
             gaussian_draw(prec, np.ones(2), stream(0))
+
+    def test_nonfinite_precision_raises(self):
+        prec = np.eye(3)
+        prec[1, 1] = np.nan
+        with pytest.raises(NumericError):
+            gaussian_draw(prec, np.ones(3), stream(0))
+
+    @pytest.mark.parametrize("stack", [None, 2])
+    def test_whitened_draws_standard_normal(self, stack):
+        # one 3 x 3 precision, or a stack of two; x = prec^-1 lin +
+        # scale L^-T z, so L^T (x - prec^-1 lin) / scale must be N(0, 1)
+        rng0 = np.random.default_rng(3)
+        M = rng0.standard_normal((stack or 1, 3, 3))
+        prec = M @ np.swapaxes(M, 1, 2) + 0.5 * np.eye(3)
+        lin = rng0.standard_normal((stack or 1, 3))
+        if stack is None:
+            prec, lin = prec[0], lin[0]
+        scale = 1.7
+        rng = stream(41)
+        draws = np.array(
+            [gaussian_draw(prec, lin, rng, scale=scale) for _ in range(self.N)]
+        )
+        L = np.linalg.cholesky(prec)
+        mean = np.linalg.solve(prec, lin[..., None])[..., 0]
+        white = np.einsum("...ji,n...j->n...i", L, draws - mean) / scale
+        for coord in white.reshape(self.N, -1).T:
+            assert kstest(coord, "norm").pvalue > 0.01
+
+
+class TestLaplaceMixture:
+    def test_matches_bayesian_lasso_parameters(self):
+        # scale = sigma gives the Bayesian-lasso conditional
+        # 1/tau^2 | theta ~ IG(lam sigma / |theta|, lam^2)
+        theta = np.array([0.3, -1.2, 4.0, -0.05])
+        lam, sigma = 1.7, 0.6
+        got = laplace_mixture_precision(theta, lam, stream(9), scale=sigma)
+        want = inverse_gaussian(lam * sigma / np.abs(theta), lam * lam, stream(9))
+        np.testing.assert_allclose(got, want, rtol=1e-12)
+
+    def test_mixture_leaves_laplace_invariant(self):
+        # x ~ Laplace(scale / rate), 1/s | x from the mixture, then
+        # x' ~ N(0, scale^2 s) must be Laplace(scale / rate) again
+        rate, scale, n = 2.5, 0.4, 2000
+        rng = stream(13)
+        x = laplace.rvs(scale=scale / rate, size=n, random_state=rng)
+        inv_s = laplace_mixture_precision(x, rate, rng, scale=scale)
+        x_new = scale * rng.standard_normal(n) / np.sqrt(inv_s)
+        assert kstest(x_new, laplace(scale=scale / rate).cdf).pvalue > 0.01
 
 
 class TestConfig:
