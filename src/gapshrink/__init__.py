@@ -4,7 +4,6 @@ samplers built on them, and exact-projection oracles that certify the
 bounds."""
 
 from .gaps import (
-    GapTriple,
     SimplexPoint,
     fenchel_young_gap,
     generalized_l1_duality_gap,
@@ -33,7 +32,6 @@ from .penalties import (
 from .oracles import (
     OracleResult,
     brute_force_prox,
-    finite_diff_check,
     kl_project,
     project_l1_ball,
     prox_fused,
@@ -54,7 +52,7 @@ from .priors import (
     pairwise_diff_penalty_median_form,
 )
 from .rng import slice_sample_1d, stream
-from .diagnostics import acf, ess, ess_from_acf, singular_value_posterior
+from .diagnostics import acf, ess, ess_from_acf
 from .samplers import (
     PosteriorSamples,
     SamplerConfig,

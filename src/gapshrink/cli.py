@@ -23,6 +23,12 @@ _DEFAULTS = {
     "gap-check": {"warmup": 1, "retain": 1, "alpha": 1.0, "reps": 1},
 }
 
+# every flag a --config file may set, with its type
+_FLAG_TYPES = {
+    "seed": int, "reps": int, "warmup": int, "retain": int,
+    "alpha": float, "out": str,
+}
+
 
 def build_parser():
     parser = argparse.ArgumentParser(
@@ -31,32 +37,45 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="experiment", required=True)
     for exp in EXPERIMENT_IDS:
-        defaults = _DEFAULTS[exp]
+        defaults = {"seed": 0, "out": "runs", **_DEFAULTS[exp]}
         sp = sub.add_parser(exp)
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--reps", type=int, default=defaults["reps"])
-        sp.add_argument("--warmup", type=int, default=defaults["warmup"])
-        sp.add_argument("--retain", type=int, default=defaults["retain"])
-        sp.add_argument("--alpha", type=float, default=defaults["alpha"])
-        sp.add_argument("--out", type=str, default="runs")
+        for flag, kind in _FLAG_TYPES.items():
+            sp.add_argument(f"--{flag}", type=kind, default=defaults[flag])
         sp.add_argument("--config", type=str, default=None,
                         help="JSON file whose entries override the flags")
     return parser
 
 
+def _config_value(key, value):
+    """value as its flag's type; a JSON value of another type is an error
+    (integer flags take integers but not booleans, float flags take
+    numbers, --out takes a string)."""
+    kind = _FLAG_TYPES[key]
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    ok, wanted = {
+        int: (number and isinstance(value, int), "an integer"),
+        float: (number, "a number"),
+        str: (isinstance(value, str), "a string"),
+    }[kind]
+    if not ok:
+        raise ValueError(
+            f"--config key {key!r} needs {wanted}, got {json.dumps(value)}"
+        )
+    return kind(value)
+
+
 def _apply_config_file(args):
     """Override the subcommand's flags with the entries of the --config file;
-    any other key is an error."""
+    any other key, or a value of the wrong type, is an error."""
     if args.config is None:
         return args
     with open(args.config) as fh:
         overrides = json.load(fh)
-    flags = set(vars(args)) - {"experiment", "config"}
-    unknown = sorted(set(overrides) - flags)
+    unknown = sorted(set(overrides) - set(_FLAG_TYPES))
     if unknown:
         raise ValueError(f"unknown --config key(s): {', '.join(unknown)}")
     for key, value in overrides.items():
-        setattr(args, key, value)
+        setattr(args, key, _config_value(key, value))
     return args
 
 

@@ -1,5 +1,5 @@
-"""Chain-quality diagnostics: autocorrelation, effective sample size,
-posterior summaries, and singular-value posterior tracks."""
+"""Chain-quality diagnostics: autocorrelation, effective sample size and
+posterior summaries."""
 
 from __future__ import annotations
 
@@ -11,8 +11,6 @@ __all__ = [
     "acf",
     "ess",
     "ess_from_acf",
-    "singular_value_posterior",
-    "SingularValueSummary",
     "ChainSummary",
     "summarize_series",
 ]
@@ -68,38 +66,6 @@ def ess(series):
         raise ValueError("need at least 100 draws for an ESS estimate")
     value, _ = ess_from_acf(acf(x, n - 1), n)
     return value
-
-
-@dataclass
-class SingularValueSummary:
-    """Per-draw descending singular values with posterior mean/quantiles."""
-
-    draws: np.ndarray
-    mean: np.ndarray
-    q025: np.ndarray
-    q50: np.ndarray
-    q975: np.ndarray
-
-
-def singular_value_posterior(A_draws, B_draws):
-    """Singular values of A B^T for every retained draw, sorted descending."""
-    A_draws = np.asarray(A_draws, dtype=float)
-    B_draws = np.asarray(B_draws, dtype=float)
-    if A_draws.shape[0] != B_draws.shape[0]:
-        raise ValueError("A and B draw counts differ")
-    if A_draws.shape[2] != B_draws.shape[2]:
-        raise ValueError("A and B disagree on factor rank")
-    out = np.empty((A_draws.shape[0], min(A_draws.shape[1], B_draws.shape[1])))
-    for i in range(A_draws.shape[0]):
-        s = np.linalg.svd(A_draws[i] @ B_draws[i].T, compute_uv=False)
-        out[i] = np.sort(s)[::-1]
-    return SingularValueSummary(
-        draws=out,
-        mean=out.mean(axis=0),
-        q025=np.quantile(out, 0.025, axis=0),
-        q50=np.quantile(out, 0.5, axis=0),
-        q975=np.quantile(out, 0.975, axis=0),
-    )
 
 
 @dataclass

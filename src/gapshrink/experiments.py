@@ -113,20 +113,16 @@ def _json_dump(path, obj):
         fh.write("\n")
 
 
-def _pooled_median_acf(theta_draws, lag):
-    """Median over coordinates of the lag-k autocorrelation, skipping
-    numerically constant chains.  The lag clamps to the chain length so
-    smoke-sized runs stay computable."""
-    lag = min(lag, theta_draws.shape[0] - 1)
-    if lag < 1:
-        return 0.0
-    vals = []
-    for j in range(theta_draws.shape[1]):
-        col = theta_draws[:, j]
-        if np.std(col) < 1e-14:
-            continue
-        vals.append(acf(col, lag)[lag])
-    return float(np.median(vals)) if vals else 0.0
+def _pooled_median_acf(theta_draws, max_lag):
+    """Median over coordinates of the autocorrelation at each lag
+    0..max_lag, skipping numerically constant chains (all zeros when every
+    chain is).  max_lag clamps to the chain length so smoke-sized runs stay
+    computable; the last entry is the value at the clamped lag."""
+    max_lag = min(max_lag, theta_draws.shape[0] - 1)
+    curves = [acf(col, max_lag) for col in theta_draws.T if np.std(col) >= 1e-14]
+    if not curves:
+        return np.zeros(max_lag + 1)
+    return np.median(curves, axis=0)
 
 
 def _sparse_metrics(samples, theta0, limits):
@@ -152,8 +148,8 @@ def _exp1_rep(payload):
 
     gap = gibbs_sparse_regression(X, y, replace(sampler, chain_id=3 * rep))
     gm = _sparse_metrics(gap, theta0, limits)
-    lag = limits["acf_lag"]
-    gm["median_acf_at_lag"] = _pooled_median_acf(gap.columns("theta_"), lag)
+    curve = _pooled_median_acf(gap.columns("theta_"), limits["acf_lag"])
+    gm["median_acf_at_lag"] = float(curve[-1])
 
     u_draws = gap.columns("u_")
     lam_draws = gap.column("lam")
@@ -391,14 +387,10 @@ def _plot_rep(experiment, out, rep, chains, summaries):
             truth=theta0[sel],
             title="posterior spread of selected coefficients",
         )
-        lag = 15
-        curves = {}
-        for label, samples in chains.items():
-            med = [
-                _pooled_median_acf(samples.columns("theta_")[:, :50], k)
-                for k in range(lag + 1)
-            ]
-            curves[label] = med
+        curves = {
+            label: _pooled_median_acf(samples.columns("theta_")[:, :50], 15)
+            for label, samples in chains.items()
+        }
         plots.svg_lines(
             out / f"acf_rep{rep}.svg",
             curves,

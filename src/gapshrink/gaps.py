@@ -29,7 +29,6 @@ from .penalties import (
 )
 
 __all__ = [
-    "GapTriple",
     "SimplexPoint",
     "fenchel_young_gap",
     "proximal_duality_gap",
@@ -63,24 +62,6 @@ def as_simplex(x):
     if isinstance(x, SimplexPoint):
         return x.z
     return SimplexPoint(x).z
-
-
-@dataclass
-class GapTriple:
-    """A primal point, dual point, and anchor with the cached gap value."""
-
-    theta: np.ndarray
-    u: np.ndarray
-    beta: np.ndarray
-    gap: float
-
-    @classmethod
-    def for_penalty(cls, spec, theta, u, beta=None):
-        theta = np.asarray(theta, dtype=float)
-        u = np.asarray(u, dtype=float)
-        beta = theta + u if beta is None else np.asarray(beta, dtype=float)
-        gap = proximal_duality_gap(spec, theta, u, beta)
-        return cls(theta=theta, u=u, beta=beta, gap=float(gap))
 
 
 def fenchel_young_gap(spec, theta, u):

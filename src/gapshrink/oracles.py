@@ -30,7 +30,6 @@ __all__ = [
     "prox_fused",
     "svt",
     "kl_project",
-    "finite_diff_check",
     "brute_force_prox",
 ]
 
@@ -209,19 +208,6 @@ def kl_project(beta, a, b, tol=1e-12, max_iter=200):
         if abs(nu * h) <= tol and h <= 1e-12:
             break
     return SimplexPoint(z)
-
-
-def finite_diff_check(f, x, g, h=1e-5):
-    """Max abs deviation between central differences of f and a gradient g."""
-    x = np.asarray(x, dtype=float)
-    g = np.asarray(g, dtype=float)
-    worst = 0.0
-    for i in range(x.size):
-        step = np.zeros_like(x)
-        step[i] = h
-        fd = (f(x + step) - f(x - step)) / (2.0 * h)
-        worst = max(worst, abs(fd - g[i]))
-    return worst
 
 
 _GRID_SUPPORTED = (L1, GeneralizedL1, NormBall, GroupL2, Quadratic, Sum)

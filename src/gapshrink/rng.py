@@ -96,8 +96,9 @@ def truncated_normal(mu, sigma, lo, hi, rng, size=None):
     return np.clip(x, lo, hi)
 
 
-def inverse_gaussian(mu, lam, rng, size=None):
-    """Inverse-Gaussian draws (mean mu, shape lam), vectorized.
+def inverse_gaussian(mu, lam, rng):
+    """Inverse-Gaussian draws (mean mu, shape lam), one per element of the
+    broadcast of mu and lam.
 
     Transform-with-rejection: solve the quadratic for the smaller root,
     then flip to mu^2 / x with probability x / (mu + x).
@@ -106,8 +107,7 @@ def inverse_gaussian(mu, lam, rng, size=None):
     lam = np.asarray(lam, dtype=float)
     if np.any(mu <= 0) or np.any(lam <= 0):
         raise ValueError("mu and lam must be positive")
-    if size is None:
-        size = np.broadcast_shapes(mu.shape, lam.shape)
+    size = np.broadcast_shapes(mu.shape, lam.shape)
     nu = rng.standard_normal(size) ** 2
     w = mu * nu
     x = mu * (1.0 + (w - np.sqrt(w * (4.0 * lam + w))) / (2.0 * lam))

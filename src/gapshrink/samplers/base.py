@@ -1,46 +1,53 @@
-"""Shared sampler configuration, draw storage, and the two conditional draws
-every sampler builds its conjugate blocks from: the Gaussian block draw and
-the Laplace scale-mixture precision."""
+"""Shared sampler configuration, draw storage, the fixed hyperprior
+table, and the conditional draws the samplers share: the Gaussian block
+draw, the Laplace scale-mixture precision, the inverse-gamma draw and the
+slice move on a box strength."""
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, solve_triangular
 
 from ..errors import NumericError
-from ..rng import inverse_gaussian
+from ..rng import inverse_gaussian, slice_sample_1d
 
 __all__ = [
     "SamplerConfig",
     "PosteriorSamples",
-    "DEFAULT_HYPERPRIORS",
+    "HYPERPRIORS",
     "gaussian_draw",
     "laplace_mixture_precision",
+    "inverse_gamma",
+    "box_strength_logpdf",
+    "box_strength_step",
 ]
 
 # floor on mixture rates and on |x|, so no inverse-Gaussian mean is 0 or inf
 _EPS_ABS = 1e-8
 
-# (shape, rate/scale) pairs for inverse-gamma priors, (a, b) for the beta
-# prior on the cross-group weight, and the gamma hyperprior of the
-# double-Pareto comparator.
-DEFAULT_HYPERPRIORS = {
+# The fixed hyperprior table of every sampler: (shape, rate) of the
+# inverse-gamma priors on the box strengths lam and lam2 and the
+# Bayesian-lasso lam ("lam"), on every noise or intercept variance
+# ("sigma2") and on the fused smoothing strength ("rho"); (a, b) of the beta
+# prior on the cross-group weight; (shape, rate) of the gamma prior on the
+# double-Pareto rates.
+HYPERPRIORS = MappingProxyType({
     "lam": (2.0, 1.0),
-    "lam2": (2.0, 1.0),
     "sigma2": (2.0, 1.0),
     "rho": (2.0, 1.0),
     "omega_cross": (1.0, 1.0),
     "gdp": (1.0, 1.0),
-}
+})
 
 
 @dataclass
 class SamplerConfig:
-    """Run-length, seed, shrinkage strength, and hyperprior settings.
+    """Run-length, seed and shrinkage-strength settings.
 
     Identical configs produce bit-identical chains: all randomness flows
     through counter-based streams keyed by (seed, chain_id, sweep, block).
@@ -54,7 +61,6 @@ class SamplerConfig:
     chain_id: int = 0
     rank: int = 5
     random_intercept: bool = False
-    hyperpriors: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.warmup < 1 or self.retain < 1:
@@ -63,9 +69,6 @@ class SamplerConfig:
             raise ValueError("thinning must be at least 1")
         if self.alpha <= 0:
             raise ValueError("alpha must be positive")
-        merged = dict(DEFAULT_HYPERPRIORS)
-        merged.update(self.hyperpriors)
-        self.hyperpriors = merged
 
     def digest(self):
         payload = {
@@ -77,8 +80,6 @@ class SamplerConfig:
             "chain_id": self.chain_id,
             "rank": self.rank,
             "random_intercept": self.random_intercept,
-            "hyperpriors": {k: list(v) if isinstance(v, tuple) else v
-                            for k, v in sorted(self.hyperpriors.items())},
         }
         return hashlib.sha256(
             json.dumps(payload, sort_keys=True).encode()
@@ -174,3 +175,36 @@ def laplace_mixture_precision(x, rate, rng, scale=1.0):
     rate = np.maximum(rate, _EPS_ABS)
     abs_x = np.maximum(np.abs(x), _EPS_ABS)
     return inverse_gaussian(rate * scale / abs_x, rate**2, rng)
+
+
+def inverse_gamma(shape, rate, rng):
+    """InverseGamma(shape, rate) draws, rate / Gamma(shape, 1): one
+    standard_gamma call with one draw per element of rate (a float when
+    shape and rate are scalars)."""
+    return rate / rng.standard_gamma(shape, size=np.shape(rate) or None)
+
+
+def box_strength_logpdf(lam, abs_sum, dual_max, alpha):
+    """Log density (unnormalized) of a box strength lam given the rest:
+    the inverse-gamma prior HYPERPRIORS["lam"] times the gap factor
+    exp(-alpha lam sum|theta|), on lam >= max|u| so the box holds its dual
+    block; abs_sum is sum|theta| and dual_max is max|u|."""
+    if lam <= 0.0 or lam < dual_max:
+        return -np.inf
+    a, b = HYPERPRIORS["lam"]
+    return -(a + 1.0) * np.log(lam) - b / lam - alpha * abs_sum * lam
+
+
+def box_strength_step(lam, abs_sum, dual_max, alpha, rng):
+    """One slice move on log lam against box_strength_logpdf (the exp1
+    lam and the exp2 lam2 move)."""
+    a, b = HYPERPRIORS["lam"]
+
+    def logf(ell):
+        # box_strength_logpdf(exp(ell)) plus the log-scale Jacobian ell
+        return -a * ell - b * np.exp(-ell) - alpha * abs_sum * np.exp(ell)
+
+    floor = np.log(max(dual_max, 1e-300))
+    return float(
+        np.exp(slice_sample_1d(logf, np.log(lam), 1.0, rng, bounds=(floor, np.inf)))
+    )

@@ -8,12 +8,47 @@ from __future__ import annotations
 import numpy as np
 
 from ..rng import slice_sample_1d, stream
-from .base import flat_names, gaussian_draw, laplace_mixture_precision
+from .base import (
+    HYPERPRIORS,
+    flat_names,
+    gaussian_draw,
+    inverse_gamma,
+    laplace_mixture_precision,
+)
 from .chain import run_chain
 
-__all__ = ["gibbs_bayesian_lasso", "gibbs_gdp"]
+__all__ = [
+    "gibbs_bayesian_lasso",
+    "gibbs_gdp",
+    "lasso_lam_logpdf",
+    "lasso_lam_step",
+]
 
 _SCALES, _THETA, _LAM, _SIGMA, _INIT = range(5)
+
+
+def lasso_lam_logpdf(lam, tau2_sum, p):
+    """Log density (unnormalized) of the Bayesian-lasso rate lam given the
+    p mixture variances tau_j^2 ~ Exp(lam^2 / 2), whose sum is tau2_sum,
+    under the inverse-gamma prior HYPERPRIORS["lam"] (Park & Casella
+    2008)."""
+    if lam <= 0.0:
+        return -np.inf
+    a, b = HYPERPRIORS["lam"]
+    return (2.0 * p - a - 1.0) * np.log(lam) - 0.5 * tau2_sum * lam * lam - b / lam
+
+
+def lasso_lam_step(lam, tau2_sum, p, rng):
+    """One slice move on log lam against lasso_lam_logpdf."""
+    a, b = HYPERPRIORS["lam"]
+
+    def logf(ell):
+        # lasso_lam_logpdf(exp(ell)) plus the log-scale Jacobian ell
+        return (
+            (2.0 * p - a) * ell - 0.5 * tau2_sum * np.exp(2.0 * ell) - b * np.exp(-ell)
+        )
+
+    return float(np.exp(slice_sample_1d(logf, np.log(lam), 0.5, rng)))
 
 
 def gibbs_bayesian_lasso(X, y, config):
@@ -26,8 +61,7 @@ def gibbs_bayesian_lasso(X, y, config):
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float).ravel()
     n, p = X.shape
-    a_lam, b_lam = config.hyperpriors["lam"]
-    a_sig, b_sig = config.hyperpriors["sigma2"]
+    a_sig, b_sig = HYPERPRIORS["sigma2"]
     seed, chain = config.seed, config.chain_id
 
     XtX = X.T @ X
@@ -61,19 +95,10 @@ def gibbs_bayesian_lasso(X, y, config):
         rate = b_sig + 0.5 * (
             float(resid @ resid) + float(np.sum(theta**2 * inv_tau2))
         )
-        sigma2 = rate / rng.standard_gamma(shape)
+        sigma2 = inverse_gamma(shape, rate, rng)
 
         rng = stream(seed, chain, sweep, _LAM)
-        tau2_sum = float(np.sum(tau2))
-
-        def lam_logf(ell):
-            return (
-                (2.0 * p - a_lam) * ell
-                - 0.5 * tau2_sum * np.exp(2.0 * ell)
-                - b_lam * np.exp(-ell)
-            )
-
-        lam = float(np.exp(slice_sample_1d(lam_logf, np.log(lam), 0.5, rng)))
+        lam = lasso_lam_step(lam, float(np.sum(tau2)), p, rng)
 
     def record():
         return np.concatenate([theta, [lam, sigma2]]), {}, {}
@@ -91,8 +116,8 @@ def gibbs_gdp(X, y, config):
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float).ravel()
     n, p = X.shape
-    a_gdp, eta = config.hyperpriors["gdp"]
-    a_sig, b_sig = config.hyperpriors["sigma2"]
+    a_gdp, eta = HYPERPRIORS["gdp"]
+    a_sig, b_sig = HYPERPRIORS["sigma2"]
     seed, chain = config.seed, config.chain_id
 
     XtX = X.T @ X
@@ -125,7 +150,7 @@ def gibbs_gdp(X, y, config):
         rate = b_sig + 0.5 * (
             float(resid @ resid) + float(np.sum(theta**2 * inv_s))
         )
-        sigma2 = rate / rng.standard_gamma(shape)
+        sigma2 = inverse_gamma(shape, rate, rng)
 
     def record():
         return np.concatenate([theta, [sigma2]]), {}, {}

@@ -17,7 +17,13 @@ import numpy as np
 
 from ..priors import complete_graph
 from ..rng import slice_sample_1d, stream, truncated_normal
-from .base import flat_names, gaussian_draw, laplace_mixture_precision
+from .base import (
+    HYPERPRIORS,
+    flat_names,
+    gaussian_draw,
+    inverse_gamma,
+    laplace_mixture_precision,
+)
 from .chain import run_chain
 
 __all__ = [
@@ -36,8 +42,9 @@ _KERNEL_VAR = 100.0
 
 
 def rho_conditional_logpdf(x, sum_w_absdiff, sum_w_vunit_d, theta, q_unit,
-                           alpha, ig=(2.0, 1.0)):
-    """Log density of the smoothing strength given the rest.
+                           alpha):
+    """Log density of the smoothing strength given the rest, under the
+    inverse-gamma prior HYPERPRIORS["rho"].
 
     The dual entries are parameterized as rho times a unit-box variable,
     so a rho move rescales them in place: the box carries no rho-dependent
@@ -47,7 +54,7 @@ def rho_conditional_logpdf(x, sum_w_absdiff, sum_w_vunit_d, theta, q_unit,
     """
     if x <= 0.0:
         return -np.inf
-    a, b = ig
+    a, b = HYPERPRIORS["rho"]
     anchor = theta + x * q_unit
     return (
         -(a + 1.0) * math.log(x)
@@ -58,29 +65,29 @@ def rho_conditional_logpdf(x, sum_w_absdiff, sum_w_vunit_d, theta, q_unit,
 
 
 def rho_conditional_step(x0, sum_w_absdiff, sum_w_vunit_d, theta, q_unit,
-                         alpha, rng, ig=(2.0, 1.0), width=1.0):
+                         alpha, rng):
     """One slice move on log rho against rho_conditional_logpdf."""
 
     def logf(ell):
         # ell is the log-scale Jacobian
         return rho_conditional_logpdf(
-            math.exp(ell), sum_w_absdiff, sum_w_vunit_d, theta, q_unit,
-            alpha, ig,
+            math.exp(ell), sum_w_absdiff, sum_w_vunit_d, theta, q_unit, alpha
         ) + ell
 
-    return float(math.exp(slice_sample_1d(logf, math.log(x0), width, rng)))
+    return float(math.exp(slice_sample_1d(logf, math.log(x0), 1.0, rng)))
 
 
 def omega_conditional_logpdf(x, rho, sum_cross_absdiff, sum_cross_vd, theta,
-                             q_within, q_cross, alpha, beta_ab=(1.0, 1.0)):
-    """Log density of the cross-group weight given the rest.
+                             q_within, q_cross, alpha):
+    """Log density of the cross-group weight given the rest, under the beta
+    prior HYPERPRIORS["omega_cross"].
 
     The weight scales both the cross-edge share of the gap and the
     cross-edge contribution to the reconstructed anchor.
     """
     if not 0.0 < x < 1.0:
         return -np.inf
-    a, b = beta_ab
+    a, b = HYPERPRIORS["omega_cross"]
     gap = rho * x * sum_cross_absdiff - x * sum_cross_vd
     anchor = theta + q_within + x * q_cross
     val = -alpha * gap - float(np.sum(anchor * anchor)) / (2.0 * _KERNEL_VAR)
@@ -88,18 +95,17 @@ def omega_conditional_logpdf(x, rho, sum_cross_absdiff, sum_cross_vd, theta,
 
 
 def omega_conditional_step(x0, rho, sum_cross_absdiff, sum_cross_vd, theta,
-                           q_within, q_cross, alpha, rng,
-                           beta_ab=(1.0, 1.0), width=0.25):
+                           q_within, q_cross, alpha, rng):
     """One slice move on the cross-group weight within (0, 1)."""
 
     def logf(x):
         return omega_conditional_logpdf(
             x, rho, sum_cross_absdiff, sum_cross_vd, theta,
-            q_within, q_cross, alpha, beta_ab,
+            q_within, q_cross, alpha,
         )
 
     return float(
-        slice_sample_1d(logf, x0, width, rng, bounds=(1e-12, 1.0 - 1e-12))
+        slice_sample_1d(logf, x0, 0.25, rng, bounds=(1e-12, 1.0 - 1e-12))
     )
 
 
@@ -151,9 +157,7 @@ def gibbs_fused_probit(Y, X, taxonomy, config):
     n_edges = graph.n_edges
 
     alpha = config.alpha
-    a_rho, b_rho = config.hyperpriors["rho"]
-    beta_ab = config.hyperpriors["omega_cross"]
-    a_tau, b_tau = config.hyperpriors["sigma2"]
+    a_tau, b_tau = HYPERPRIORS["sigma2"]
     seed, chain = config.seed, config.chain_id
 
     rng0 = stream(seed, chain, 0, _INIT)
@@ -224,8 +228,7 @@ def gibbs_fused_probit(Y, X, taxonomy, config):
         sum_w_vunit_d = float(np.sum(w[:, None] * v_unit * d))
         q_unit = B.T @ (w[:, None] * v_unit)
         rho_new = rho_conditional_step(
-            rho, sum_wd, sum_w_vunit_d, theta, q_unit, alpha, rng,
-            ig=(a_rho, b_rho),
+            rho, sum_wd, sum_w_vunit_d, theta, q_unit, alpha, rng
         )
         v = v_unit * rho_new
         rho = rho_new
@@ -238,7 +241,7 @@ def gibbs_fused_probit(Y, X, taxonomy, config):
         q_cross = B.T @ (np.where(cross, 1.0, 0.0)[:, None] * v)
         omega = omega_conditional_step(
             omega, rho, abs_d_cross, vd_cross, theta, q_within, q_cross,
-            alpha, rng, beta_ab=beta_ab,
+            alpha, rng,
         )
 
         if config.random_intercept:
@@ -248,7 +251,7 @@ def gibbs_fused_probit(Y, X, taxonomy, config):
             gamma = mean_g + rng.standard_normal(n) / np.sqrt(prec_g)
             shape = a_tau + 0.5 * n
             rate_t = b_tau + 0.5 * float(gamma @ gamma)
-            tau2 = rate_t / rng.standard_gamma(shape)
+            tau2 = inverse_gamma(shape, rate_t, rng)
 
     def record():
         parts = [theta.ravel(), v.ravel(), [rho, omega]]

@@ -19,8 +19,15 @@ import math
 
 import numpy as np
 
-from ..rng import inverse_gaussian, slice_sample_1d, stream, truncated_normal
-from .base import flat_names, gaussian_draw, laplace_mixture_precision
+from ..rng import inverse_gaussian, stream, truncated_normal
+from .base import (
+    HYPERPRIORS,
+    box_strength_step,
+    flat_names,
+    gaussian_draw,
+    inverse_gamma,
+    laplace_mixture_precision,
+)
 from .chain import run_chain
 
 __all__ = [
@@ -78,7 +85,7 @@ def v1_block_draw(theta, V1, V2, coupling, alpha, rng):
     if r > 0.0:
         inv_tau = float(inverse_gaussian(c / r, c * c, rng))
     else:
-        inv_tau = 0.5 * c * c / rng.standard_gamma(0.5)
+        inv_tau = inverse_gamma(0.5, 0.5 * c * c, rng)
     prec = inv_tau + 1.0 / _KERNEL_VAR
     lin = alpha * theta - (theta + V2) / _KERNEL_VAR
     return lin / prec + rng.standard_normal(np.shape(theta)) / math.sqrt(prec)
@@ -100,8 +107,7 @@ def gibbs_matrix_smoothing(Y, config):
     if r > min(p1, p2):
         raise ValueError("rank exceeds matrix dimensions")
     alpha = config.alpha
-    a_l2, b_l2 = config.hyperpriors["lam2"]
-    a_sig, b_sig = config.hyperpriors["sigma2"]
+    a_sig, b_sig = HYPERPRIORS["sigma2"]
     seed, chain = config.seed, config.chain_id
 
     Ybar = Y.mean(axis=0)
@@ -155,21 +161,11 @@ def gibbs_matrix_smoothing(Y, config):
         rng = stream(seed, chain, sweep, _SIGMA)
         shape = a_sig + 0.5 * S * p1 * p2
         rate_sig = b_sig + 0.5 * (ss0 + S * float(np.sum((Ybar - theta) ** 2)))
-        sigma2 = rate_sig / rng.standard_gamma(shape)
+        sigma2 = inverse_gamma(shape, rate_sig, rng)
 
         rng = stream(seed, chain, sweep, _LAM2)
-        abs_sum = float(np.sum(np.abs(theta)))
-        floor = np.log(max(float(np.max(np.abs(V2))), 1e-300))
-
-        def lam2_logf(ell):
-            return -a_l2 * ell - b_l2 * np.exp(-ell) - alpha * abs_sum * np.exp(ell)
-
-        lam2 = float(
-            np.exp(
-                slice_sample_1d(
-                    lam2_logf, np.log(lam2), 1.0, rng, bounds=(floor, np.inf)
-                )
-            )
+        lam2 = box_strength_step(
+            lam2, float(np.sum(np.abs(theta))), float(np.max(np.abs(V2))), alpha, rng
         )
 
     n_sv = min(6, min(p1, p2))

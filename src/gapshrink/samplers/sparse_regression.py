@@ -15,8 +15,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..rng import slice_sample_1d, stream, truncated_normal
-from .base import flat_names, gaussian_draw, laplace_mixture_precision
+from ..rng import stream, truncated_normal
+from .base import (
+    HYPERPRIORS,
+    box_strength_step,
+    flat_names,
+    gaussian_draw,
+    inverse_gamma,
+    laplace_mixture_precision,
+)
 from .chain import run_chain
 
 __all__ = [
@@ -65,8 +72,7 @@ def gibbs_sparse_regression(X, y, config):
     if y.size != n:
         raise ValueError("y length must match rows of X")
     alpha = config.alpha
-    a_lam, b_lam = config.hyperpriors["lam"]
-    a_sig, b_sig = config.hyperpriors["sigma2"]
+    a_sig, b_sig = HYPERPRIORS["sigma2"]
     seed, chain = config.seed, config.chain_id
 
     XtX = X.T @ X
@@ -87,7 +93,7 @@ def gibbs_sparse_regression(X, y, config):
         rng = stream(seed, chain, sweep, _SCALES)
         inv_s = laplace_mixture_precision(theta, alpha * (lam - np.abs(u)), rng)
         resid_ku = theta + u
-        w = ((1.0 + resid_ku**2) / 2.0) / rng.standard_gamma(1.0, size=p)
+        w = inverse_gamma(1.0, (1.0 + resid_ku**2) / 2.0, rng)
         inv_w = 1.0 / w
 
         rng = stream(seed, chain, sweep, _THETA)
@@ -100,25 +106,15 @@ def gibbs_sparse_regression(X, y, config):
         u = dual_block_draw(theta, w, lam, alpha, rng)
 
         rng = stream(seed, chain, sweep, _LAM)
-        abs_sum = float(np.sum(np.abs(theta)))
-        floor = np.log(max(np.max(np.abs(u)), 1e-300))
-
-        def lam_logf(ell):
-            return -a_lam * ell - b_lam * np.exp(-ell) - alpha * abs_sum * np.exp(ell)
-
-        lam = float(
-            np.exp(
-                slice_sample_1d(
-                    lam_logf, np.log(lam), 1.0, rng, bounds=(floor, np.inf)
-                )
-            )
+        lam = box_strength_step(
+            lam, float(np.sum(np.abs(theta))), float(np.max(np.abs(u))), alpha, rng
         )
 
         rng = stream(seed, chain, sweep, _SIGMA)
         resid = y - X @ theta
         shape = a_sig + 0.5 * n
         rate = b_sig + 0.5 * float(resid @ resid)
-        sigma2 = rate / rng.standard_gamma(shape)
+        sigma2 = inverse_gamma(shape, rate, rng)
 
     def record():
         row = np.concatenate([theta, u, [lam, sigma2]])

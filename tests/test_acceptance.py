@@ -29,6 +29,8 @@ from gapshrink.priors import (
 )
 from gapshrink.rng import slice_sample_1d, stream
 from gapshrink.samplers import SamplerConfig, gibbs_sparse_regression
+from gapshrink.samplers.base import box_strength_logpdf, box_strength_step
+from gapshrink.samplers.comparators import lasso_lam_logpdf, lasso_lam_step
 from gapshrink.samplers.fused_probit import (
     edge_dual_conditional_draw,
     edge_dual_conditional_logpdf,
@@ -239,17 +241,26 @@ class TestCriterion8OrderStatisticsIdentity:
         report(8, ok, f"worst relative deviation {worst:.2e} over 1000 draws")
 
 
-def _slice_chain(logpdf, x0, width, rng, n=2000, warmup=200, thin=5,
-                 bounds=(-np.inf, np.inf)):
+def _step_chain(step, x0, rng, n=2000, warmup=200, thin=5):
+    """Thinned draws of a scalar Markov move step(x, rng) -> x."""
     x = x0
     out = np.empty(n)
     for i in range(warmup):
-        x = slice_sample_1d(logpdf, x, width, rng, bounds=bounds)
+        x = step(x, rng)
     for i in range(n * thin):
-        x = slice_sample_1d(logpdf, x, width, rng, bounds=bounds)
+        x = step(x, rng)
         if i % thin == thin - 1:
             out[i // thin] = x
     return out
+
+
+def _slice_chain(logpdf, x0, width, rng, n=2000, warmup=200, thin=5,
+                 bounds=(-np.inf, np.inf)):
+    """Reference chain: plain slice moves on logpdf."""
+    return _step_chain(
+        lambda x, r: slice_sample_1d(logpdf, x, width, r, bounds=bounds),
+        x0, rng, n, warmup, thin,
+    )
 
 
 def _v1_slice_scan(theta, c2, coupling, alpha, width, rng, n=2000,
@@ -348,19 +359,44 @@ class TestCriterion9ConditionalCorrectness:
                 np.linalg.norm(draws, axis=1), np.linalg.norm(ref, axis=1)
             )
 
+        # box strength (exp1 lam, exp2 lam2): log-scale slice above max|u|
+        # vs linear-scale slice
+        for i, (abs_sum, dual_max, alpha) in enumerate(
+            [(0.5, 0.3, 2.0), (2.0, 0.0, 1.0), (0.2, 1.0, 50.0)]
+        ):
+            draws = _step_chain(
+                lambda x, rng: box_strength_step(x, abs_sum, dual_max, alpha, rng),
+                dual_max + 0.5, stream(1600 + i), n=self.N,
+            )
+            logf = lambda y: box_strength_logpdf(y, abs_sum, dual_max, alpha)
+            ref = _slice_chain(
+                logf, dual_max + 0.5, 0.5, stream(1700 + i), n=self.N,
+                bounds=(max(dual_max, 1e-12), np.inf),
+            )
+            results[f"lam[{i}]"] = self._ks(draws, ref)
+
+        # Bayesian-lasso rate: log-scale slice vs linear-scale slice
+        for i, (tau2_sum, p) in enumerate([(4.0, 5), (0.5, 1), (30.0, 20)]):
+            draws = _step_chain(
+                lambda x, rng: lasso_lam_step(x, tau2_sum, p, rng),
+                1.0, stream(1800 + i), n=self.N,
+            )
+            logf = lambda y: lasso_lam_logpdf(y, tau2_sum, p)
+            ref = _slice_chain(
+                logf, 1.0, 0.5, stream(1900 + i), n=self.N, bounds=(1e-12, np.inf)
+            )
+            results[f"lasso_lam[{i}]"] = self._ks(draws, ref)
+
         # smoothing strength: log-scale slice vs linear-scale slice
         for i in range(3):
             theta, swd, svd_, q_unit = _frozen_fused_state(700 + i)
             alpha = (2.0, 10.0, 50.0)[i]
-            rng = stream(800 + i)
-            x = 0.5
-            draws = np.empty(self.N)
-            for k in range(200):
-                x = rho_conditional_step(x, swd, svd_, theta, q_unit, alpha, rng)
-            for k in range(self.N * 5):
-                x = rho_conditional_step(x, swd, svd_, theta, q_unit, alpha, rng)
-                if k % 5 == 4:
-                    draws[k // 5] = x
+            draws = _step_chain(
+                lambda x, rng: rho_conditional_step(
+                    x, swd, svd_, theta, q_unit, alpha, rng
+                ),
+                0.5, stream(800 + i), n=self.N,
+            )
             logf = lambda y: rho_conditional_logpdf(
                 y, swd, svd_, theta, q_unit, alpha
             )
@@ -383,21 +419,13 @@ class TestCriterion9ConditionalCorrectness:
             q_cross = graph.incidence().T @ (np.where(cross, 1.0, 0.0)[:, None] * v)
             rho = 0.4
             alpha = (3.0, 15.0, 40.0)[i]
-            rng = stream(1200 + i)
-            x = 0.5
-            draws = np.empty(self.N)
-            for k in range(200):
-                x = omega_conditional_step(
+            draws = _step_chain(
+                lambda x, rng: omega_conditional_step(
                     x, rho, abs_d_cross, vd_cross, theta, q_within, q_cross,
                     alpha, rng,
-                )
-            for k in range(self.N * 5):
-                x = omega_conditional_step(
-                    x, rho, abs_d_cross, vd_cross, theta, q_within, q_cross,
-                    alpha, rng,
-                )
-                if k % 5 == 4:
-                    draws[k // 5] = x
+                ),
+                0.5, stream(1200 + i), n=self.N,
+            )
             logf = lambda y: omega_conditional_logpdf(
                 y, rho, abs_d_cross, vd_cross, theta, q_within, q_cross, alpha
             )

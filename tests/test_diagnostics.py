@@ -6,7 +6,6 @@ from gapshrink.diagnostics import (
     acf,
     ess,
     ess_from_acf,
-    singular_value_posterior,
     summarize_series,
 )
 
@@ -70,27 +69,6 @@ class TestESS:
     def test_short_series_rejected(self):
         with pytest.raises(ValueError):
             ess(np.arange(50.0))
-
-
-class TestSingularValuePosterior:
-    def test_constant_draws(self):
-        A = np.tile(np.diag([np.sqrt(3.0), 1.0]), (5, 1, 1))
-        B = np.tile(np.diag([np.sqrt(3.0), 1.0]), (5, 1, 1))
-        out = singular_value_posterior(A, B)
-        np.testing.assert_allclose(out.draws, np.tile([3.0, 1.0], (5, 1)), atol=1e-12)
-        np.testing.assert_allclose(out.mean, [3.0, 1.0], atol=1e-12)
-
-    def test_rank_one_scaling(self):
-        rng = np.random.default_rng(7)
-        u = rng.standard_normal((3, 1))
-        v = rng.standard_normal((4, 1))
-        scales = np.array([0.5, 1.0, 2.0])
-        A = np.stack([s * u for s in scales])
-        B = np.stack([v for _ in scales])
-        out = singular_value_posterior(A, B)
-        expected = scales * np.linalg.norm(u) * np.linalg.norm(v)
-        np.testing.assert_allclose(out.draws[:, 0], expected, rtol=1e-10)
-        np.testing.assert_allclose(out.draws[:, 1:], 0.0, atol=1e-10)
 
 
 class TestSummaries:

@@ -5,7 +5,13 @@ import numpy as np
 import pytest
 
 from gapshrink.cli import main
-from gapshrink.experiments import ExperimentConfig, load_thresholds, run_experiment
+from gapshrink.diagnostics import acf
+from gapshrink.experiments import (
+    ExperimentConfig,
+    _pooled_median_acf,
+    load_thresholds,
+    run_experiment,
+)
 from gapshrink.samplers import SamplerConfig
 
 
@@ -100,6 +106,26 @@ class TestRunExperiment:
     def test_invalid_experiment_id(self):
         with pytest.raises(ValueError):
             ExperimentConfig(experiment="exp9")
+
+
+class TestPooledAcf:
+    def test_curve_matches_per_lag_medians(self):
+        # one acf call per column gives every lag; lag 0 is 1, a constant
+        # column is skipped
+        rng = np.random.default_rng(4)
+        draws = np.cumsum(rng.standard_normal((60, 7)), axis=0)
+        draws[:, 3] = 2.0
+        curve = _pooled_median_acf(draws, 15)
+        assert curve.shape == (16,)
+        assert curve[0] == 1.0
+        for k in range(1, 16):
+            per_lag = [acf(draws[:, j], k)[k] for j in range(7) if j != 3]
+            assert curve[k] == np.median(per_lag)
+
+    def test_lag_clamps_to_chain_length(self):
+        draws = np.random.default_rng(5).standard_normal((4, 3))
+        assert _pooled_median_acf(draws, 15).shape == (4,)
+        np.testing.assert_array_equal(_pooled_median_acf(np.ones((5, 2)), 3), 0.0)
 
 
 class TestThresholds:
@@ -197,6 +223,33 @@ class TestCLI:
         path = tmp_path / "exp1" / "rep0_gap_shrinkage.csv"
         data = np.loadtxt(path, delimiter=",", skiprows=1)
         assert data.shape[0] == 7
+
+    @pytest.mark.parametrize(
+        "entry",
+        [{"seed": 1.5}, {"reps": True}, {"warmup": "5"}, {"alpha": None},
+         {"alpha": False}, {"out": 3}],
+    )
+    def test_config_value_type_checked(self, tmp_path, capsys, entry):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps(entry))
+        # short flags, so a value let through costs a tiny run only
+        code = main(
+            ["exp1", "--reps", "1", "--warmup", "2", "--retain", "2",
+             "--out", str(tmp_path), "--config", str(cfg_file)]
+        )
+        assert code == 2
+        (key,) = entry
+        assert repr(key) in capsys.readouterr().err
+        assert not (tmp_path / "exp1").exists()
+
+    def test_config_integer_accepted_for_float_flag(self, tmp_path):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"alpha": 50, "warmup": 3, "retain": 3}))
+        code = main(
+            ["exp1", "--reps", "1", "--out", str(tmp_path), "--config", str(cfg_file)]
+        )
+        assert code in (0, 1)
+        assert (tmp_path / "exp1" / "report.json").exists()
 
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         cfg_file = tmp_path / "cfg.json"

@@ -4,7 +4,6 @@ from hypothesis import given, settings, strategies as st
 
 from gapshrink.errors import ContractViolationError, DimensionError
 from gapshrink.gaps import (
-    GapTriple,
     SimplexPoint,
     fenchel_young_gap,
     generalized_l1_gap,
@@ -335,8 +334,3 @@ class TestContainers:
             SimplexPoint([0.6, 0.6])
         with pytest.raises(ValueError):
             SimplexPoint([-0.1, 1.1])
-
-    def test_gap_triple_caches_gap(self):
-        trip = GapTriple.for_penalty(L1(1.0), [1.0, 0.0], [1.0, 0.0])
-        assert trip.gap == pytest.approx(0.0)
-        np.testing.assert_allclose(trip.beta, [2.0, 0.0])

@@ -6,7 +6,6 @@ from gapshrink.errors import ConvergenceError, InfeasibleError, UnsupportedPenal
 from gapshrink.gaps import generalized_l1_gap
 from gapshrink.oracles import (
     brute_force_prox,
-    finite_diff_check,
     kl_project,
     project_l1_ball,
     prox_fused,
@@ -190,23 +189,6 @@ class TestKLProject:
             z = kl_project(beta, a, b, tol=1e-12).z
             assert float(a @ z) <= b + 1e-9
             assert np.all(z > 0)
-
-
-class TestFiniteDiff:
-    def test_quadratic(self):
-        f = lambda x: 0.5 * np.sum(x**2)
-        assert finite_diff_check(f, np.array([1.0, 2.0]), np.array([1.0, 2.0])) < 1e-8
-
-    def test_linear(self):
-        a = np.array([2.0, -1.0, 0.5])
-        f = lambda x: float(a @ x)
-        x = np.array([0.3, 0.7, -0.2])
-        assert finite_diff_check(f, x, a, h=1e-6) < 1e-9
-
-    def test_log_sum_exp_symmetry(self):
-        f = lambda x: np.log(np.sum(np.exp(x)))
-        g = np.array([0.5, 0.5])
-        assert finite_diff_check(f, np.zeros(2), g) < 1e-8
 
 
 class TestBruteForce:

@@ -1,11 +1,17 @@
+import importlib
+import pkgutil
+import re
+
 import numpy as np
 import pytest
 from scipy.stats import kstest, laplace
 
+import gapshrink.samplers
 from gapshrink.datasets import gen_fused_probit
 from gapshrink.errors import NumericError
 from gapshrink.rng import inverse_gaussian, stream
 from gapshrink.samplers import (
+    HYPERPRIORS,
     SamplerConfig,
     gibbs_bayesian_lasso,
     gibbs_fused_probit,
@@ -13,7 +19,12 @@ from gapshrink.samplers import (
     gibbs_matrix_smoothing,
     gibbs_sparse_regression,
 )
-from gapshrink.samplers.base import gaussian_draw, laplace_mixture_precision
+from gapshrink.samplers.base import (
+    box_strength_step,
+    gaussian_draw,
+    inverse_gamma,
+    laplace_mixture_precision,
+)
 from gapshrink.samplers.chain import check_state, run_chain
 from gapshrink.samplers.matrix_smoothing import v1_block_draw, v1_conditional_logpdf
 
@@ -202,18 +213,33 @@ class TestFusedProbit:
 
 class TestConjugateUpdates:
     def test_sigma2_conditional_moments(self):
-        # every sampler draws sigma2 as rate / Gamma(shape), i.e. exactly
-        # InverseGamma(shape, rate); the construction must reproduce the
-        # analytic moments
-        from gapshrink.rng import stream
-
-        rng = stream(21)
+        # every noise variance, the exp1 kernel scales and the V1 cold start
+        # are drawn by inverse_gamma; its draws must have the analytic
+        # InverseGamma(shape, rate) moments
         shape, rate = 8.0, 4.0
-        draws = rate / rng.standard_gamma(shape, size=100_000)
+        draws = inverse_gamma(shape, np.full(100_000, rate), stream(21))
+        assert draws.shape == (100_000,)
         mean = rate / (shape - 1.0)
         var = rate**2 / ((shape - 1.0) ** 2 * (shape - 2.0))
         assert np.mean(draws) == pytest.approx(mean, rel=0.02)
         assert np.var(draws) == pytest.approx(var, rel=0.02)
+
+    def test_inverse_gamma_scalar_is_one_draw(self):
+        # scalar parameters give a float from a single gamma draw, so the
+        # stream is left where a scalar standard_gamma call leaves it
+        rng = stream(22)
+        x = inverse_gamma(3.0, 2.0, rng)
+        assert isinstance(x, float) and x > 0.0
+        ref = stream(22)
+        ref.standard_gamma(3.0)
+        assert rng.uniform() == ref.uniform()
+
+    def test_box_strength_step_stays_above_dual(self):
+        rng = stream(23)
+        lam = 1.5
+        for _ in range(200):
+            lam = box_strength_step(lam, 0.3, 1.2, 5.0, rng)
+            assert lam >= 1.2
 
 
 class TestChainState:
@@ -356,7 +382,34 @@ class TestLaplaceMixture:
         assert kstest(x_new, laplace(scale=scale / rate).cdf).pvalue > 0.01
 
 
+class TestStreamIds:
+    def test_block_ids_distinct_per_module(self):
+        # a sampler module's _UPPER int constants are the stream ids of its
+        # blocks; two blocks sharing one would draw the same Philox numbers
+        # in one sweep
+        with_ids = set()
+        for info in pkgutil.iter_modules(gapshrink.samplers.__path__):
+            module = importlib.import_module(f"gapshrink.samplers.{info.name}")
+            ids = {
+                attr: value for attr, value in vars(module).items()
+                if re.fullmatch(r"_[A-Z][A-Z0-9_]*", attr) and type(value) is int
+            }
+            assert len(set(ids.values())) == len(ids), (info.name, ids)
+            if ids:
+                with_ids.add(info.name)
+        assert with_ids >= {
+            "comparators", "fused_probit", "matrix_smoothing", "sparse_regression"
+        }
+
+
 class TestConfig:
+    def test_hyperpriors_fixed(self):
+        # the hyperprior table is a read-only constant, not a config field
+        with pytest.raises(TypeError):
+            SamplerConfig(hyperpriors={"lam": (1.0, 1.0)})
+        with pytest.raises(TypeError):
+            HYPERPRIORS["lam"] = (1.0, 1.0)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             SamplerConfig(warmup=0)
