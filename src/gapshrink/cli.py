@@ -16,14 +16,15 @@ import sys
 from .experiments import EXPERIMENT_IDS, ExperimentConfig, load_thresholds, run_experiment
 from .samplers import SamplerConfig
 
+# flags besides --seed and --out, by subcommand; gap-check runs from its seed
 _DEFAULTS = {
     "exp1": {"warmup": 1000, "retain": 1000, "alpha": 1000.0, "reps": 5},
     "exp2": {"warmup": 3000, "retain": 3000, "alpha": 1000.0, "reps": 1},
     "exp3": {"warmup": 500, "retain": 500, "alpha": 1000.0, "reps": 1},
-    "gap-check": {"warmup": 1, "retain": 1, "alpha": 1.0, "reps": 1},
+    "gap-check": {},
 }
 
-# every flag a --config file may set, with its type
+# every flag's type; a --config file may set the flags of its subcommand
 _FLAG_TYPES = {
     "seed": int, "reps": int, "warmup": int, "retain": int,
     "alpha": float, "out": str,
@@ -39,8 +40,8 @@ def build_parser():
     for exp in EXPERIMENT_IDS:
         defaults = {"seed": 0, "out": "runs", **_DEFAULTS[exp]}
         sp = sub.add_parser(exp)
-        for flag, kind in _FLAG_TYPES.items():
-            sp.add_argument(f"--{flag}", type=kind, default=defaults[flag])
+        for flag, default in defaults.items():
+            sp.add_argument(f"--{flag}", type=_FLAG_TYPES[flag], default=default)
         sp.add_argument("--config", type=str, default=None,
                         help="JSON file whose entries override the flags")
     return parser
@@ -71,7 +72,7 @@ def _apply_config_file(args):
         return args
     with open(args.config) as fh:
         overrides = json.load(fh)
-    unknown = sorted(set(overrides) - set(_FLAG_TYPES))
+    unknown = sorted(set(overrides) - {"seed", "out", *_DEFAULTS[args.experiment]})
     if unknown:
         raise ValueError(f"unknown --config key(s): {', '.join(unknown)}")
     for key, value in overrides.items():
@@ -83,16 +84,12 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         args = _apply_config_file(args)
-        sampler = SamplerConfig(
-            warmup=args.warmup,
-            retain=args.retain,
-            seed=args.seed,
-            alpha=args.alpha,
-        )
+        chain = {k: getattr(args, k) for k in ("warmup", "retain", "alpha")
+                 if hasattr(args, k)}
         config = ExperimentConfig(
             experiment=args.experiment,
-            replications=args.reps,
-            sampler=sampler,
+            replications=getattr(args, "reps", 1),
+            sampler=SamplerConfig(seed=args.seed, **chain),
             data_seed=2024 + args.seed,
             out_dir=args.out,
             thresholds=load_thresholds(),

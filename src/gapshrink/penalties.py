@@ -228,8 +228,8 @@ def penalty_value(spec, z):
     raise UnsupportedPenaltyError(f"unknown penalty {type(spec).__name__}")
 
 
-# Margin for the operator-norm feasibility test of the nuclear conjugate;
-# power iteration is accurate to ~1e-8 relative.
+# Margin for the nuclear conjugate's operator-norm test: a dual scaled exactly
+# onto the ball can come back from the SVD a rounding error above lam.
 _OPNORM_MARGIN = 1e-8
 
 
@@ -239,7 +239,7 @@ def conjugate_value(spec, u):
     Closed forms: the L1 conjugate is the indicator of the dual-norm box,
     a ball indicator conjugates to its support function, a positive-definite
     quadratic to the inverse quadratic, and the nuclear norm to the indicator
-    of the operator-norm ball (feasibility checked by power iteration).
+    of the operator-norm ball (its SVD norm, with a rounding margin).
     """
     u = _check_shape(spec, u)
     if isinstance(spec, L1):

@@ -50,7 +50,7 @@ def _tail_inverse(a, b, u):
     return -ndtri_exp(logt)
 
 
-def truncated_normal(mu, sigma, lo, hi, rng, size=None):
+def truncated_normal(mu, sigma, lo, hi, rng):
     """Exact draws from N(mu, sigma^2) restricted to (lo, hi), vectorized.
 
     Inverse-CDF in the bulk; once the whole interval sits more than 5 sigma
@@ -64,10 +64,6 @@ def truncated_normal(mu, sigma, lo, hi, rng, size=None):
         np.asarray(lo, dtype=float),
         np.asarray(hi, dtype=float),
     )
-    if size is not None:
-        mu, sigma, lo, hi = np.broadcast_arrays(
-            mu, sigma, lo, hi, np.empty(size)
-        )[:4]
     if np.any(lo >= hi):
         raise ValueError("lower bound must be below upper bound")
     if np.any(sigma <= 0):

@@ -33,7 +33,8 @@ __all__ = [
     "omega_conditional_logpdf",
     "omega_conditional_step",
     "edge_dual_conditional_logpdf",
-    "edge_dual_conditional_draw",
+    "edge_dual_block_draw",
+    "edge_classes",
 ]
 
 _LATENT, _SCALES, _THETA, _DUAL, _RHO, _OMEGA, _INTERCEPT, _INIT = range(8)
@@ -124,11 +125,19 @@ def edge_dual_conditional_logpdf(x, d_ek, a1, a2, w_e, rho, alpha):
     )
 
 
-def edge_dual_conditional_draw(d_ek, a1, a2, w_e, rho, alpha, rng):
-    """Exact truncated-normal draw matching edge_dual_conditional_logpdf."""
-    var = _KERNEL_VAR / (2.0 * w_e * w_e)
-    mean = var * (alpha * w_e * d_ek - w_e * (a1 - a2) / _KERNEL_VAR)
-    return float(truncated_normal(mean, math.sqrt(var), -rho, rho, rng, size=()))
+def edge_dual_block_draw(d, a1, a2, w, rho, alpha, rng):
+    """Exact truncated-normal draws matching edge_dual_conditional_logpdf,
+    one per entry of the broadcast of d, a1, a2 and w."""
+    var = _KERNEL_VAR / (2.0 * w * w)
+    mean = var * (alpha * w * d - w * (a1 - a2) / _KERNEL_VAR)
+    return truncated_normal(mean, np.sqrt(var), -rho, rho, rng)
+
+
+def edge_classes(edges, m):
+    """Edge indices of a graph on nodes 0..m-1 in m node-disjoint classes:
+    edge (j, j') is in class c = (j + j') mod m, so j's partner is c - j."""
+    cls = np.sum(edges, axis=1) % m
+    return [np.flatnonzero(cls == c) for c in range(m)]
 
 
 def gibbs_fused_probit(Y, X, taxonomy, config):
@@ -137,8 +146,8 @@ def gibbs_fused_probit(Y, X, taxonomy, config):
     taxonomy partitions the categories into groups; an optional scalar
     random intercept per observation absorbs shared row effects when
     config.random_intercept is set.  Sweep order: probit latents, fused
-    scale mixtures, theta columns (blocked Gaussian), dual entries
-    (truncated normals), rho and omega_cross (slice).
+    scale mixtures, theta columns (blocked Gaussian), dual entries (one
+    truncated-normal block per edge class), rho and omega_cross (slice).
     """
     Y = np.asarray(Y)
     X = np.asarray(X, dtype=float)
@@ -152,6 +161,7 @@ def gibbs_fused_probit(Y, X, taxonomy, config):
     if graph.n_nodes != m:
         raise ValueError("taxonomy does not cover the response columns")
     edges = graph.edges
+    classes = edge_classes(edges, m)
     cross = graph.cross
     B = graph.incidence()
     n_edges = graph.n_edges
@@ -207,20 +217,17 @@ def gibbs_fused_probit(Y, X, taxonomy, config):
 
         rng = stream(seed, chain, sweep, _DUAL)
         d = B @ theta
-        q = B.T @ (w[:, None] * v)
-        for e in range(n_edges):
-            j1, j2 = edges[e]
-            w_e = w[e]
-            for k in range(p):
-                x_old = v[e, k]
-                a1 = theta[j1, k] + q[j1, k] - w_e * x_old
-                a2 = theta[j2, k] + q[j2, k] + w_e * x_old
-                x_new = edge_dual_conditional_draw(
-                    d[e, k], a1, a2, w_e, rho, alpha, rng
-                )
-                v[e, k] = x_new
-                q[j1, k] += w_e * (x_new - x_old)
-                q[j2, k] -= w_e * (x_new - x_old)
+        anchor = theta + B.T @ (w[:, None] * v)
+        # classes are node-disjoint: independent duals, exact fancy-index +=
+        for c in classes:
+            j1, j2 = edges[c].T
+            w_c = w[c, None]
+            old = w_c * v[c]
+            v[c] = edge_dual_block_draw(
+                d[c], anchor[j1] - old, anchor[j2] + old, w_c, rho, alpha, rng
+            )
+            anchor[j1] += w_c * v[c] - old
+            anchor[j2] -= w_c * v[c] - old
 
         rng = stream(seed, chain, sweep, _RHO)
         sum_wd = float(np.sum(w[:, None] * np.abs(d)))

@@ -32,7 +32,8 @@ from gapshrink.samplers import SamplerConfig, gibbs_sparse_regression
 from gapshrink.samplers.base import box_strength_logpdf, box_strength_step
 from gapshrink.samplers.comparators import lasso_lam_logpdf, lasso_lam_step
 from gapshrink.samplers.fused_probit import (
-    edge_dual_conditional_draw,
+    edge_classes,
+    edge_dual_block_draw,
     edge_dual_conditional_logpdf,
     omega_conditional_logpdf,
     omega_conditional_step,
@@ -435,23 +436,53 @@ class TestCriterion9ConditionalCorrectness:
             )
             results[f"omega[{i}]"] = self._ks(draws, ref)
 
-        # fused edge dual (beyond the required list): exact TN vs slice
+        # fused edge dual (beyond the required list): exact TN vs slice, the
+        # N copies of one entry drawn by one block call
         for i, (dek, a1, a2, we, rho_, alpha) in enumerate(
             [(0.4, 0.1, -0.2, 1.0, 0.6, 4.0), (-0.8, 0.0, 0.3, 0.4, 1.0, 8.0),
              (0.0, 0.5, 0.5, 1.0, 0.3, 2.0)]
         ):
-            rng = stream(1400 + i)
-            draws = np.array(
-                [
-                    edge_dual_conditional_draw(dek, a1, a2, we, rho_, alpha, rng)
-                    for _ in range(self.N)
-                ]
+            draws = edge_dual_block_draw(
+                np.full(self.N, dek), a1, a2, we, rho_, alpha, stream(1400 + i)
             )
             logf = lambda y: edge_dual_conditional_logpdf(
                 y, dek, a1, a2, we, rho_, alpha
             )
             ref = _slice_chain(logf, 0.0, rho_ / 2, stream(1500 + i), n=self.N)
             results[f"v[{i}]"] = self._ks(draws, ref)
+
+        # fused edge duals of one node-disjoint class of a frozen m-node,
+        # two-covariate state, as the sampler draws them: N copies of the
+        # class block in one call, each entry vs a slice chain on its own
+        # conditional given the frozen anchors.  theta at the kernel's scale
+        # 10 and small alpha make the anchor term visible next to the gap
+        for m, rho_, alpha in [(4, 1.0, 0.01), (5, 2.0, 0.02), (6, 0.3, 2.0)]:
+            graph = complete_graph([list(range(m // 2)), list(range(m // 2, m))])
+            rng0 = stream(2000 + m, 0, 0, 1)
+            theta = rng0.normal(0, 10, (m, 2))
+            v = rng0.uniform(-rho_, rho_, (graph.n_edges, 2))
+            w = np.where(graph.cross, 0.4, 1.0)
+            B = graph.incidence()
+            anchor = theta + B.T @ (w[:, None] * v)
+            c = max(edge_classes(graph.edges, m), key=len)
+            j1, j2 = graph.edges[c, 0], graph.edges[c, 1]
+            w_c = w[c, None]
+            d = (B @ theta)[c]
+            a1 = anchor[j1] - w_c * v[c]
+            a2 = anchor[j2] + w_c * v[c]
+            draws = edge_dual_block_draw(
+                np.broadcast_to(d, (self.N,) + d.shape), a1, a2, w_c, rho_,
+                alpha, stream(2100 + m),
+            )
+            for e, k in np.ndindex(d.shape):
+                logf = lambda y: edge_dual_conditional_logpdf(
+                    y, d[e, k], a1[e, k], a2[e, k], w_c[e, 0], rho_, alpha
+                )
+                ref = _slice_chain(
+                    logf, 0.0, rho_ / 2, stream(2200 + 10 * m + 2 * e + k),
+                    n=self.N,
+                )
+                results[f"v_m{m}[{e},{k}]"] = self._ks(draws[:, e, k], ref)
 
         worst = min(results.values())
         ok = worst > 0.01

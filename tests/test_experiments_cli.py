@@ -266,6 +266,20 @@ class TestCLI:
         assert report["passed"]
         assert report["nonnegativity"]["min_gap"] >= -1e-10
 
+    @pytest.mark.parametrize("flag", ["warmup", "retain", "alpha", "reps"])
+    def test_gap_check_rejects_chain_flags(self, tmp_path, capsys, flag):
+        # gap-check runs from its seed alone; a chain setting it would
+        # ignore is an error, as a flag and as a --config key
+        with pytest.raises(SystemExit) as exc:
+            main(["gap-check", f"--{flag}", "5", "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({flag: 5}))
+        code = main(["gap-check", "--out", str(tmp_path), "--config", str(cfg_file)])
+        assert code == 2
+        assert flag in capsys.readouterr().err
+        assert not (tmp_path / "gap-check").exists()
+
     def test_unknown_subcommand_rejected(self):
         with pytest.raises(SystemExit):
             main(["exp9"])

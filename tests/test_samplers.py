@@ -9,6 +9,7 @@ from scipy.stats import kstest, laplace
 import gapshrink.samplers
 from gapshrink.datasets import gen_fused_probit
 from gapshrink.errors import NumericError
+from gapshrink.priors import complete_graph
 from gapshrink.rng import inverse_gaussian, stream
 from gapshrink.samplers import (
     HYPERPRIORS,
@@ -26,6 +27,7 @@ from gapshrink.samplers.base import (
     laplace_mixture_precision,
 )
 from gapshrink.samplers.chain import check_state, run_chain
+from gapshrink.samplers.fused_probit import edge_classes
 from gapshrink.samplers.matrix_smoothing import v1_block_draw, v1_conditional_logpdf
 
 
@@ -209,6 +211,17 @@ class TestFusedProbit:
         Y, X, _, _ = gen_fused_probit(42, m=4, p=2, n=50)
         with pytest.raises(ValueError):
             gibbs_fused_probit(Y, X, [[0, 1, 2, 3], []], SamplerConfig(warmup=1, retain=1))
+
+    def test_edge_classes_node_disjoint_cover(self):
+        for m in range(2, 41):
+            edges = complete_graph([list(range(m))]).edges
+            classes = edge_classes(edges, m)
+            assert len(classes) == m
+            for c in classes:
+                nodes = edges[c].ravel()
+                assert np.unique(nodes).size == nodes.size, (m, edges[c])
+            covered = np.sort(np.concatenate(classes))
+            np.testing.assert_array_equal(covered, np.arange(len(edges)))
 
 
 class TestConjugateUpdates:
