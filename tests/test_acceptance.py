@@ -118,15 +118,8 @@ def exp1_report(tmp_path_factory):
         data_seed=2024,
         out_dir=str(tmp_path_factory.mktemp("exp1")),
     )
-    # in-process replications: forked workers each start the parent's full
-    # OpenBLAS thread pool and oversubscribe the cores, which made this
-    # fixture's wall time vary several-fold; the workers inherit the
-    # parent's thread count, so the draws are the same bits either way
-    # (TestWorkerPool.test_parallel_matches_serial covers the pool)
     t0 = time.perf_counter()
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setenv("GAPSHRINK_THREADS", "1")
-        rep = run_experiment(cfg)
+    rep = run_experiment(cfg)
     return rep, time.perf_counter() - t0
 
 
