@@ -16,12 +16,13 @@ import sys
 from .experiments import EXPERIMENT_IDS, ExperimentConfig, load_thresholds, run_experiment
 from .samplers import SamplerConfig
 
-# flags besides --seed and --out, by subcommand; gap-check runs from its seed
+# every subcommand's flags and their defaults; gap-check runs from its seed
+_COMMON = {"seed": 0, "out": "runs"}
 _DEFAULTS = {
-    "exp1": {"warmup": 1000, "retain": 1000, "alpha": 1000.0, "reps": 5},
-    "exp2": {"warmup": 3000, "retain": 3000, "alpha": 1000.0, "reps": 1},
-    "exp3": {"warmup": 500, "retain": 500, "alpha": 1000.0, "reps": 1},
-    "gap-check": {},
+    "exp1": {**_COMMON, "warmup": 1000, "retain": 1000, "alpha": 1000.0, "reps": 5},
+    "exp2": {**_COMMON, "warmup": 3000, "retain": 3000, "alpha": 1000.0, "reps": 1},
+    "exp3": {**_COMMON, "warmup": 500, "retain": 500, "alpha": 1000.0, "reps": 1},
+    "gap-check": _COMMON,
 }
 
 # every flag's type; a --config file may set the flags of its subcommand
@@ -38,9 +39,8 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="experiment", required=True)
     for exp in EXPERIMENT_IDS:
-        defaults = {"seed": 0, "out": "runs", **_DEFAULTS[exp]}
         sp = sub.add_parser(exp)
-        for flag, default in defaults.items():
+        for flag, default in _DEFAULTS[exp].items():
             sp.add_argument(f"--{flag}", type=_FLAG_TYPES[flag], default=default)
         sp.add_argument("--config", type=str, default=None,
                         help="JSON file whose entries override the flags")
@@ -72,7 +72,7 @@ def _apply_config_file(args):
         return args
     with open(args.config) as fh:
         overrides = json.load(fh)
-    unknown = sorted(set(overrides) - {"seed", "out", *_DEFAULTS[args.experiment]})
+    unknown = sorted(set(overrides) - set(_DEFAULTS[args.experiment]))
     if unknown:
         raise ValueError(f"unknown --config key(s): {', '.join(unknown)}")
     for key, value in overrides.items():

@@ -35,6 +35,7 @@ __all__ = [
     "edge_dual_conditional_logpdf",
     "edge_dual_block_draw",
     "edge_classes",
+    "edge_dual_sweep",
 ]
 
 _LATENT, _SCALES, _THETA, _DUAL, _RHO, _OMEGA, _INTERCEPT, _INIT = range(8)
@@ -105,9 +106,7 @@ def omega_conditional_step(x0, rho, sum_cross_absdiff, sum_cross_vd, theta,
             q_within, q_cross, alpha,
         )
 
-    return float(
-        slice_sample_1d(logf, x0, 0.25, rng, bounds=(1e-12, 1.0 - 1e-12))
-    )
+    return slice_sample_1d(logf, x0, 0.25, rng, bounds=(1e-12, 1.0 - 1e-12))
 
 
 def edge_dual_conditional_logpdf(x, d_ek, a1, a2, w_e, rho, alpha):
@@ -140,6 +139,20 @@ def edge_classes(edges, m):
     return [np.flatnonzero(cls == c) for c in range(m)]
 
 
+def edge_dual_sweep(v, anchor, d, w, edges, classes, rho, alpha, rng):
+    """Draw every dual entry in place, one edge_dual_block_draw per class;
+    anchor (theta + B^T (w v)) follows exactly, as no class repeats a node."""
+    for c in classes:
+        j1, j2 = edges[c].T
+        w_c = w[c, None]
+        old = w_c * v[c]
+        v[c] = edge_dual_block_draw(
+            d[c], anchor[j1] - old, anchor[j2] + old, w_c, rho, alpha, rng
+        )
+        anchor[j1] += w_c * v[c] - old
+        anchor[j2] -= w_c * v[c] - old
+
+
 def gibbs_fused_probit(Y, X, taxonomy, config):
     """Run one chain; returns draws of (theta, v, rho, omega_cross).
 
@@ -170,9 +183,8 @@ def gibbs_fused_probit(Y, X, taxonomy, config):
     a_tau, b_tau = HYPERPRIORS["sigma2"]
     seed, chain = config.seed, config.chain_id
 
-    rng0 = stream(seed, chain, 0, _INIT)
     # kernel scale 10 shrunk by 0.1 gives unit-scale starting coefficients
-    theta = rng0.standard_normal((m, p))
+    theta = stream(seed, chain, 0, _INIT).standard_normal((m, p))
     v = np.zeros((n_edges, p))
     inv_s = np.ones((n_edges, p))
     rho = 1.0
@@ -203,8 +215,7 @@ def gibbs_fused_probit(Y, X, taxonomy, config):
         inv_s = laplace_mixture_precision(d, (alpha * rho * w)[:, None], rng)
 
         rng = stream(seed, chain, sweep, _THETA)
-        wv = w[:, None] * v
-        q = B.T @ wv
+        q = B.T @ (w[:, None] * v)
         centered = z - gamma[:, None]
         for k in range(p):
             resid = centered - M + np.outer(X[:, k], theta[:, k])
@@ -218,34 +229,23 @@ def gibbs_fused_probit(Y, X, taxonomy, config):
         rng = stream(seed, chain, sweep, _DUAL)
         d = B @ theta
         anchor = theta + B.T @ (w[:, None] * v)
-        # classes are node-disjoint: independent duals, exact fancy-index +=
-        for c in classes:
-            j1, j2 = edges[c].T
-            w_c = w[c, None]
-            old = w_c * v[c]
-            v[c] = edge_dual_block_draw(
-                d[c], anchor[j1] - old, anchor[j2] + old, w_c, rho, alpha, rng
-            )
-            anchor[j1] += w_c * v[c] - old
-            anchor[j2] -= w_c * v[c] - old
+        edge_dual_sweep(v, anchor, d, w, edges, classes, rho, alpha, rng)
 
         rng = stream(seed, chain, sweep, _RHO)
         sum_wd = float(np.sum(w[:, None] * np.abs(d)))
         v_unit = v / rho
         sum_w_vunit_d = float(np.sum(w[:, None] * v_unit * d))
         q_unit = B.T @ (w[:, None] * v_unit)
-        rho_new = rho_conditional_step(
+        rho = rho_conditional_step(
             rho, sum_wd, sum_w_vunit_d, theta, q_unit, alpha, rng
         )
-        v = v_unit * rho_new
-        rho = rho_new
+        v = v_unit * rho
 
         rng = stream(seed, chain, sweep, _OMEGA)
         abs_d_cross = float(np.sum(np.abs(d[cross])))
         vd_cross = float(np.sum(v[cross] * d[cross]))
-        mask_within = np.where(cross, 0.0, 1.0)
-        q_within = B.T @ (mask_within[:, None] * v)
-        q_cross = B.T @ (np.where(cross, 1.0, 0.0)[:, None] * v)
+        q_within = B.T @ (~cross[:, None] * v)
+        q_cross = B.T @ (cross[:, None] * v)
         omega = omega_conditional_step(
             omega, rho, abs_d_cross, vd_cross, theta, q_within, q_cross,
             alpha, rng,

@@ -27,7 +27,11 @@ from gapshrink.samplers.base import (
     laplace_mixture_precision,
 )
 from gapshrink.samplers.chain import check_state, run_chain
-from gapshrink.samplers.fused_probit import edge_classes
+from gapshrink.samplers.fused_probit import (
+    edge_classes,
+    edge_dual_block_draw,
+    edge_dual_sweep,
+)
 from gapshrink.samplers.matrix_smoothing import v1_block_draw, v1_conditional_logpdf
 
 
@@ -222,6 +226,34 @@ class TestFusedProbit:
                 assert np.unique(nodes).size == nodes.size, (m, edges[c])
             covered = np.sort(np.concatenate(classes))
             np.testing.assert_array_equal(covered, np.arange(len(edges)))
+
+    def test_dual_sweep_anchors_follow_each_class(self):
+        # frozen state at a weak gap, so the draws depend on the anchors;
+        # the reference rebuilds theta + B^T (w v) before every class
+        m, p, rho, alpha = 7, 2, 3.0, 0.01
+        graph = complete_graph([[0, 1, 2], [3, 4, 5, 6]])
+        edges, B = graph.edges, graph.incidence()
+        classes = edge_classes(edges, m)
+        state = np.random.default_rng(5)
+        theta = 3.0 * state.standard_normal((m, p))
+        v0 = state.uniform(-rho, rho, (len(edges), p))
+        w = np.where(graph.cross, 0.3, 1.0)
+        d = B @ theta
+
+        got = v0.copy()
+        edge_dual_sweep(got, theta + B.T @ (w[:, None] * got), d, w, edges,
+                        classes, rho, alpha, stream(11, 0, 0, 3))
+        want = v0.copy()
+        rng = stream(11, 0, 0, 3)
+        for c in classes:
+            anchor = theta + B.T @ (w[:, None] * want)
+            j1, j2 = edges[c].T
+            old = w[c, None] * want[c]
+            want[c] = edge_dual_block_draw(
+                d[c], anchor[j1] - old, anchor[j2] + old, w[c, None], rho,
+                alpha, rng,
+            )
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
 
 
 class TestConjugateUpdates:
