@@ -13,7 +13,7 @@ import argparse
 import json
 import sys
 
-from .experiments import EXPERIMENT_IDS, ExperimentConfig, load_thresholds, run_experiment
+from .experiments import EXPERIMENT_IDS, ExperimentConfig, run_experiment
 from .samplers import SamplerConfig
 
 # every subcommand's flags and their defaults; gap-check runs from its seed
@@ -92,7 +92,6 @@ def main(argv=None):
             sampler=SamplerConfig(seed=args.seed, **chain),
             data_seed=2024 + args.seed,
             out_dir=args.out,
-            thresholds=load_thresholds(),
         )
         report = run_experiment(config)
     except Exception as exc:  # pragma: no cover - defensive surface

@@ -1,11 +1,19 @@
 """Experiment drivers: synthetic-data runs, persistence, and reports.
 
-Each experiment fans replications across a worker pool (capped by the
-GAPSHRINK_THREADS environment variable), writes one headered CSV of
+An experiment is a replication function (_exp1_rep, _exp2_rep, _exp3_rep),
+a plot function, the columns of its chain CSV and a verdict across
+replications; run_experiment looks all four up in one table.  A
+replication takes the payload (rep, data_seed, sampler, limits,
+data_kwargs), draws its data from seed data_seed + rep, runs its samplers
+and returns (metrics, chains, summaries).
+
+run_experiment fans the replications across a worker pool (capped by the
+GAPSHRINK_THREADS environment variable) and writes one headered CSV of
 retained gap-model draws per replication, a deterministic report.json
 holding recovery metrics (for all compared methods) and pass/fail flags, a
 timing.json sidecar with wall-clock numbers (kept out of report.json so
 identical configs give byte-identical reports), and standalone SVG plots.
+gap-check runs the certification suites instead.
 """
 
 from __future__ import annotations
@@ -70,10 +78,8 @@ class ExperimentConfig:
 class RunReport:
     """Per-replication metrics plus the overall acceptance verdict."""
 
-    experiment: str
     replications: list
     passed: bool
-    thresholds: dict
 
 
 def _n_workers(n_tasks):
@@ -92,19 +98,11 @@ def _map_tasks(fn, payloads):
 
 def _write_csv(path, samples, keep_prefixes=None):
     """Headered CSV of retained draws; column subset by name prefix."""
-    names = samples.names
-    data = samples.draws
-    if keep_prefixes is not None:
-        cols = [
-            j
-            for j, n in enumerate(names)
-            if any(n.startswith(pref) for pref in keep_prefixes)
-        ]
-        names = [names[j] for j in cols]
-        data = data[:, cols]
+    cols = [j for j, n in enumerate(samples.names)
+            if keep_prefixes is None or n.startswith(keep_prefixes)]
     with open(path, "w") as fh:
-        fh.write(",".join(names) + "\n")
-        np.savetxt(fh, data, delimiter=",", fmt="%.10g")
+        fh.write(",".join(samples.names[j] for j in cols) + "\n")
+        np.savetxt(fh, samples.draws[:, cols], delimiter=",", fmt="%.10g")
 
 
 def _json_dump(path, obj):
@@ -142,8 +140,8 @@ def _sparse_metrics(samples, theta0, limits):
 
 
 def _exp1_rep(payload):
-    (rep, data_seed, sampler, limits) = payload
-    X, y, theta0 = gen_sparse_regression(data_seed + rep)
+    rep, data_seed, sampler, limits, data_kwargs = payload
+    X, y, theta0 = gen_sparse_regression(data_seed + rep, **data_kwargs)
     out = {"rep": rep, "theta0_nonzero_idx": np.flatnonzero(theta0).tolist()}
 
     gap = gibbs_sparse_regression(X, y, replace(sampler, chain_id=3 * rep))
@@ -187,8 +185,8 @@ def _exp1_rep(payload):
 
 
 def _exp2_rep(payload):
-    (rep, data_seed, sampler, limits) = payload
-    Y, theta0 = gen_lowrank_sparse(data_seed + rep)
+    rep, data_seed, sampler, limits, data_kwargs = payload
+    Y, theta0 = gen_lowrank_sparse(data_seed + rep, **data_kwargs)
     samples = gibbs_matrix_smoothing(Y, replace(sampler, chain_id=rep))
 
     sv_cols = samples.columns("sv_")
@@ -237,13 +235,13 @@ def _exp2_rep(payload):
 
 
 def _exp3_rep(payload):
-    (rep, data_seed, sampler, limits, gen_kwargs) = payload
-    Y, X, departments, theta0 = gen_fused_probit(data_seed + rep, **gen_kwargs)
+    rep, data_seed, sampler, limits, data_kwargs = payload
+    Y, X, departments, theta0 = gen_fused_probit(data_seed + rep, **data_kwargs)
     samples = gibbs_fused_probit(Y, X, departments, replace(sampler, chain_id=rep))
 
     m, p = theta0.shape
     theta_mean = samples.columns("theta_").mean(axis=0).reshape(m, p)
-    deviant = gen_kwargs.get("deviant")
+    deviant = data_kwargs.get("deviant")
 
     within_plain, deviant_diffs = [], []
     for g in departments:
@@ -285,6 +283,85 @@ def _exp3_rep(payload):
     }
 
 
+def _exp1_comparison(rep_metrics, limits):
+    """exp1's verdict across replications: with more than one, the Bayesian
+    lasso must have the larger rmse on the support often enough.  Returns
+    (passed, the report's comparison entries)."""
+    if len(rep_metrics) < 2:
+        return True, {}
+    worse = [
+        m["bayesian_lasso"]["rmse_nonzero"] > m["gap_shrinkage"]["rmse_nonzero"]
+        for m in rep_metrics
+    ]
+    frac = float(np.mean(worse))
+    passed = frac >= limits["lasso_worse_rmse_min_fraction"]
+    return passed, {"lasso_worse_rmse_fraction": frac}
+
+
+def _no_comparison(rep_metrics, limits):
+    return True, {}
+
+
+def _plot_exp1(out, rep, chains, summaries):
+    gap = chains["gap_shrinkage"]
+    theta0 = summaries["theta0"]
+    nz = np.flatnonzero(theta0)
+    zeros = np.flatnonzero(theta0 == 0)[: 15 - nz.size]
+    sel = np.concatenate([nz, zeros])
+    draws = gap.columns("theta_")[:, sel]
+    q = np.quantile(draws, [0.025, 0.5, 0.975], axis=0)
+    plots.svg_intervals(
+        out / f"coefficients_rep{rep}.svg",
+        [f"t{j}" for j in sel],
+        *q,
+        truth=theta0[sel],
+        title="posterior spread of selected coefficients",
+    )
+    curves = {
+        label: _pooled_median_acf(samples.columns("theta_")[:, :50], 15)
+        for label, samples in chains.items()
+    }
+    plots.svg_lines(
+        out / f"acf_rep{rep}.svg",
+        curves,
+        title="pooled median autocorrelation",
+        threshold=0.2,
+    )
+
+
+def _plot_exp2(out, rep, chains, summaries):
+    sv = chains["gap_matrix"].columns("sv_")
+    q = np.quantile(sv, [0.025, 0.5, 0.975], axis=0)
+    truth = np.linalg.svd(summaries["theta0"], compute_uv=False)[: sv.shape[1]]
+    plots.svg_intervals(
+        out / f"singular_values_rep{rep}.svg",
+        [f"k={k + 1}" for k in range(sv.shape[1])],
+        *q,
+        truth=truth,
+        title="posterior singular values",
+    )
+    plots.svg_heatmap(
+        out / f"theta_mean_rep{rep}.svg",
+        np.abs(summaries["theta_mean"]),
+        title="posterior mean |theta|",
+    )
+
+
+def _plot_exp3(out, rep, chains, summaries):
+    theta_mean = summaries["theta_mean"]
+    m = theta_mean.shape[0]
+    diff = np.zeros((m, m))
+    for i in range(m):
+        for j in range(m):
+            diff[i, j] = np.max(np.abs(theta_mean[i] - theta_mean[j]))
+    plots.svg_heatmap(
+        out / f"pairwise_diff_rep{rep}.svg",
+        diff,
+        title="max |pairwise coefficient difference|",
+    )
+
+
+# exp2's chain CSV keeps the factors and summaries, not the dual grids
 _EXP2_CSV_PREFIXES = ("A_", "B_", "sigma2", "lam1", "lam2", "sv_")
 
 
@@ -293,6 +370,7 @@ def run_experiment(config, exp3_gen_kwargs=None):
 
     Writes, under out_dir/<experiment>/: per-replication chain CSVs,
     report.json (deterministic), timing.json, and SVG plots.
+    exp3_gen_kwargs replaces exp3's default data-generator arguments.
     """
     out = Path(config.out_dir) / config.experiment
     out.mkdir(parents=True, exist_ok=True)
@@ -301,28 +379,23 @@ def run_experiment(config, exp3_gen_kwargs=None):
     if config.experiment == "gap-check":
         result = run_gap_check(limits, seed=config.sampler.seed)
         _json_dump(out / "report.json", result)
-        report = RunReport("gap-check", [result], result["passed"], limits)
-        return report
+        return RunReport([result], result["passed"])
 
-    if config.experiment == "exp1":
-        payloads = [
-            (rep, config.data_seed, config.sampler, limits)
-            for rep in range(config.replications)
-        ]
-        results = _map_tasks(_exp1_rep, payloads)
-    elif config.experiment == "exp2":
-        payloads = [
-            (rep, config.data_seed, config.sampler, limits)
-            for rep in range(config.replications)
-        ]
-        results = _map_tasks(_exp2_rep, payloads)
-    else:
-        gen_kwargs = exp3_gen_kwargs or {"m": 8, "p": 2, "n": 2000, "deviant": 0}
-        payloads = [
-            (rep, config.data_seed, config.sampler, limits, gen_kwargs)
-            for rep in range(config.replications)
-        ]
-        results = _map_tasks(_exp3_rep, payloads)
+    # built per call, so a rebound module attribute (a profiler's wrapper,
+    # say) is the function called
+    rep_fn, plot_fn, csv_prefixes, compare, data_kwargs = {
+        "exp1": (_exp1_rep, _plot_exp1, None, _exp1_comparison, {}),
+        "exp2": (_exp2_rep, _plot_exp2, _EXP2_CSV_PREFIXES, _no_comparison, {}),
+        "exp3": (
+            _exp3_rep, _plot_exp3, None, _no_comparison,
+            exp3_gen_kwargs or {"m": 8, "p": 2, "n": 2000, "deviant": 0},
+        ),
+    }[config.experiment]
+    payloads = [
+        (rep, config.data_seed, config.sampler, limits, data_kwargs)
+        for rep in range(config.replications)
+    ]
+    results = _map_tasks(rep_fn, payloads)
 
     rep_metrics = []
     timings = []
@@ -332,10 +405,7 @@ def run_experiment(config, exp3_gen_kwargs=None):
             # one chain file per replication: the gap-shrinkage model;
             # comparator recovery metrics live in the report
             if label.startswith("gap"):
-                prefix_filter = (
-                    _EXP2_CSV_PREFIXES if config.experiment == "exp2" else None
-                )
-                _write_csv(out / f"rep{rep}_{label}.csv", samples, prefix_filter)
+                _write_csv(out / f"rep{rep}_{label}.csv", samples, csv_prefixes)
             timings.append(
                 {
                     "rep": rep,
@@ -343,21 +413,11 @@ def run_experiment(config, exp3_gen_kwargs=None):
                     "wall_seconds": samples.meta["wall_seconds"],
                 }
             )
-        _plot_rep(config.experiment, out, rep, chains, summaries)
+        plot_fn(out, rep, chains, summaries)
         rep_metrics.append(metrics)
 
-    passed = all(m["passed"] for m in rep_metrics)
-    if config.experiment == "exp1" and config.replications > 1:
-        worse = [
-            m["bayesian_lasso"]["rmse_nonzero"] > m["gap_shrinkage"]["rmse_nonzero"]
-            for m in rep_metrics
-        ]
-        frac = float(np.mean(worse))
-        passed = passed and frac >= limits["lasso_worse_rmse_min_fraction"]
-        comparison = {"lasso_worse_rmse_fraction": frac}
-    else:
-        comparison = {}
-
+    compared, comparison = compare(rep_metrics, limits)
+    passed = all(m["passed"] for m in rep_metrics) and compared
     report_payload = {
         "experiment": config.experiment,
         "replications": rep_metrics,
@@ -366,64 +426,4 @@ def run_experiment(config, exp3_gen_kwargs=None):
     }
     _json_dump(out / "report.json", report_payload)
     _json_dump(out / "timing.json", {"chains": timings})
-    return RunReport(config.experiment, rep_metrics, bool(passed), limits)
-
-
-def _plot_rep(experiment, out, rep, chains, summaries):
-    if experiment == "exp1":
-        gap = chains["gap_shrinkage"]
-        theta0 = summaries["theta0"]
-        nz = np.flatnonzero(theta0)
-        zeros = np.flatnonzero(theta0 == 0)[: 15 - nz.size]
-        sel = np.concatenate([nz, zeros])
-        draws = gap.columns("theta_")[:, sel]
-        q = np.quantile(draws, [0.025, 0.5, 0.975], axis=0)
-        plots.svg_intervals(
-            out / f"coefficients_rep{rep}.svg",
-            [f"t{j}" for j in sel],
-            q[0],
-            q[1],
-            q[2],
-            truth=theta0[sel],
-            title="posterior spread of selected coefficients",
-        )
-        curves = {
-            label: _pooled_median_acf(samples.columns("theta_")[:, :50], 15)
-            for label, samples in chains.items()
-        }
-        plots.svg_lines(
-            out / f"acf_rep{rep}.svg",
-            curves,
-            title="pooled median autocorrelation",
-            threshold=0.2,
-        )
-    elif experiment == "exp2":
-        samples = chains["gap_matrix"]
-        sv = samples.columns("sv_")
-        q = np.quantile(sv, [0.025, 0.5, 0.975], axis=0)
-        plots.svg_intervals(
-            out / f"singular_values_rep{rep}.svg",
-            [f"k={k + 1}" for k in range(sv.shape[1])],
-            q[0],
-            q[1],
-            q[2],
-            truth=[10, 7, 4] + [0] * (sv.shape[1] - 3),
-            title="posterior singular values",
-        )
-        plots.svg_heatmap(
-            out / f"theta_mean_rep{rep}.svg",
-            np.abs(summaries["theta_mean"]),
-            title="posterior mean |theta|",
-        )
-    else:
-        theta_mean = summaries["theta_mean"]
-        m = theta_mean.shape[0]
-        diff = np.zeros((m, m))
-        for i in range(m):
-            for j in range(m):
-                diff[i, j] = np.max(np.abs(theta_mean[i] - theta_mean[j]))
-        plots.svg_heatmap(
-            out / f"pairwise_diff_rep{rep}.svg",
-            diff,
-            title="max |pairwise coefficient difference|",
-        )
+    return RunReport(rep_metrics, bool(passed))

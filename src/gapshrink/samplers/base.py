@@ -1,13 +1,13 @@
 """Shared sampler configuration, draw storage, the fixed hyperprior
-table, and the conditional draws the samplers share: the Gaussian block
-draw, the Laplace scale-mixture precision, the inverse-gamma draw and the
-slice move on a box strength."""
+table, the base-kernel variance, and the conditional draws the samplers
+share: the Gaussian block draw, the Laplace scale-mixture precision, the
+inverse-gamma draw and the slice move on a box strength."""
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from types import MappingProxyType
 
 import numpy as np
@@ -29,6 +29,10 @@ __all__ = [
 
 # floor on mixture rates and on |x|, so no inverse-Gaussian mean is 0 or inf
 _EPS_ABS = 1e-8
+
+# variance per entry of the Gaussian base kernel on the anchor, in the
+# matrix-smoothing and fused-probit models
+_KERNEL_VAR = 100.0
 
 # The fixed hyperprior table of every sampler: (shape, rate) of the
 # inverse-gamma priors on the box strengths lam and lam2 and the
@@ -65,24 +69,14 @@ class SamplerConfig:
     def __post_init__(self):
         if self.warmup < 1 or self.retain < 1:
             raise ValueError("warmup and retain must be at least 1")
-        if self.thinning < 1:
-            raise ValueError("thinning must be at least 1")
+        if not 1 <= self.thinning <= self.retain:
+            raise ValueError("thinning must be between 1 and retain")
         if self.alpha <= 0:
             raise ValueError("alpha must be positive")
 
     def digest(self):
-        payload = {
-            "warmup": self.warmup,
-            "retain": self.retain,
-            "seed": self.seed,
-            "alpha": self.alpha,
-            "thinning": self.thinning,
-            "chain_id": self.chain_id,
-            "rank": self.rank,
-            "random_intercept": self.random_intercept,
-        }
         return hashlib.sha256(
-            json.dumps(payload, sort_keys=True).encode()
+            json.dumps(asdict(self), sort_keys=True).encode()
         ).hexdigest()[:16]
 
 
@@ -107,20 +101,6 @@ class PosteriorSamples:
         """All columns whose name starts with prefix, in declared order."""
         cols = [j for j, n in enumerate(self.names) if n.startswith(prefix)]
         return self.draws[:, cols]
-
-    def mean(self, prefix):
-        return self.columns(prefix).mean(axis=0)
-
-
-def flat_names(prefix, *dims):
-    """Labels like prefix_i or prefix_i_j for flattened parameter blocks."""
-    if len(dims) == 1:
-        return [f"{prefix}_{i}" for i in range(dims[0])]
-    if len(dims) == 2:
-        return [
-            f"{prefix}_{i}_{j}" for i in range(dims[0]) for j in range(dims[1])
-        ]
-    raise ValueError("only 1- and 2-d blocks supported")
 
 
 def gaussian_draw(prec, lin, rng, scale=1.0):

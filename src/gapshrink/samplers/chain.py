@@ -31,22 +31,33 @@ def check_state(duals, scales):
             raise ValueError(f"dual block {name!r} violates its bound {bound:g}")
 
 
-def run_chain(config, step, record, names, model, **meta):
+def _labels(values):
+    """Column labels of a record: a scalar keeps its name, and entry
+    (i, j) of a block named x is labelled x_i_j (x_i for a vector)."""
+    names = []
+    for name, value in values.items():
+        shape = np.shape(value)
+        names += ["_".join(map(str, (name, *idx))) for idx in np.ndindex(shape)]
+    return names
+
+
+def run_chain(config, step, record, model, **meta):
     """Run config.warmup + config.retain sweeps and keep every
     config.thinning-th retained one.
 
     step(sweep) advances the chain's state through sweep number
     sweep = 1, 2, ...; the state lives with the sampler, which keys its block
-    streams by that number.  record() returns (row, duals, scales) for the
-    current state: the row of values labelled by names, and the arguments of
-    check_state.  meta holds the model's own entries, appended to the
-    common ones.
+    streams by that number.  record() returns (values, duals, scales) for
+    the current state: the recorded values by name, in column order, and
+    the arguments of check_state.  The first kept record fixes the column
+    labels.  meta holds the model's own entries, appended to the common
+    ones.
 
     A NumericError raised by step is re-raised naming its seed, chain and
     sweep; the streams are keyed by that coordinate, so it replays exactly.
     """
     kept = config.retain // config.thinning
-    draws = np.empty((kept, len(names)))
+    draws = names = None
     row = 0
     t0 = time.perf_counter()
     for sweep in range(1, config.warmup + config.retain + 1):
@@ -61,7 +72,10 @@ def run_chain(config, step, record, names, model, **meta):
         if k >= 0 and k % config.thinning == 0 and row < kept:
             values, duals, scales = record()
             check_state(duals, scales)
-            draws[row] = values
+            if names is None:
+                names = _labels(values)
+                draws = np.empty((kept, len(names)))
+            draws[row] = np.concatenate([np.ravel(v) for v in values.values()])
             row += 1
     common = {
         "model": model,
@@ -72,4 +86,4 @@ def run_chain(config, step, record, names, model, **meta):
         "warmup": config.warmup,
         "retain": config.retain,
     }
-    return PosteriorSamples(draws[:row], names, {**common, **meta})
+    return PosteriorSamples(draws, names, {**common, **meta})

@@ -10,7 +10,6 @@ import numpy as np
 from ..rng import slice_sample_1d, stream
 from .base import (
     HYPERPRIORS,
-    flat_names,
     gaussian_draw,
     inverse_gamma,
     laplace_mixture_precision,
@@ -101,10 +100,9 @@ def gibbs_bayesian_lasso(X, y, config):
         lam = lasso_lam_step(lam, float(np.sum(tau2)), p, rng)
 
     def record():
-        return np.concatenate([theta, [lam, sigma2]]), {}, {}
+        return {"theta": theta, "lam": lam, "sigma2": sigma2}, {}, {}
 
-    names = flat_names("theta", p) + ["lam", "sigma2"]
-    return run_chain(config, step, record, names, "bayesian_lasso")
+    return run_chain(config, step, record, "bayesian_lasso")
 
 
 def gibbs_gdp(X, y, config):
@@ -153,7 +151,6 @@ def gibbs_gdp(X, y, config):
         sigma2 = inverse_gamma(shape, rate, rng)
 
     def record():
-        return np.concatenate([theta, [sigma2]]), {}, {}
+        return {"theta": theta, "sigma2": sigma2}, {}, {}
 
-    names = flat_names("theta", p) + ["sigma2"]
-    return run_chain(config, step, record, names, "gdp")
+    return run_chain(config, step, record, "gdp")

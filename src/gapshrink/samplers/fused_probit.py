@@ -18,8 +18,8 @@ import numpy as np
 from ..priors import complete_graph
 from ..rng import slice_sample_1d, stream, truncated_normal
 from .base import (
+    _KERNEL_VAR,
     HYPERPRIORS,
-    flat_names,
     gaussian_draw,
     inverse_gamma,
     laplace_mixture_precision,
@@ -39,8 +39,6 @@ __all__ = [
 ]
 
 _LATENT, _SCALES, _THETA, _DUAL, _RHO, _OMEGA, _INTERCEPT, _INIT = range(8)
-
-_KERNEL_VAR = 100.0
 
 
 def rho_conditional_logpdf(x, sum_w_absdiff, sum_w_vunit_d, theta, q_unit,
@@ -261,18 +259,10 @@ def gibbs_fused_probit(Y, X, taxonomy, config):
             tau2 = inverse_gamma(shape, rate_t, rng)
 
     def record():
-        parts = [theta.ravel(), v.ravel(), [rho, omega]]
+        values = {"theta": theta, "v": v, "rho": rho, "omega_cross": omega}
         if config.random_intercept:
-            parts.append([tau2])
-        return (np.concatenate(parts), {"v": (v, rho)},
-                {"inv_s": inv_s, "tau2": tau2})
+            values["tau2"] = tau2
+        return values, {"v": (v, rho)}, {"inv_s": inv_s, "tau2": tau2}
 
-    names = (
-        flat_names("theta", m, p)
-        + flat_names("v", n_edges, p)
-        + ["rho", "omega_cross"]
-    )
-    if config.random_intercept:
-        names.append("tau2")
-    return run_chain(config, step, record, names, "gap_fused_probit",
+    return run_chain(config, step, record, "gap_fused_probit",
                      alpha=alpha, n_edges=n_edges)

@@ -21,9 +21,9 @@ import numpy as np
 
 from ..rng import inverse_gaussian, stream, truncated_normal
 from .base import (
+    _KERNEL_VAR,
     HYPERPRIORS,
     box_strength_step,
-    flat_names,
     gaussian_draw,
     inverse_gamma,
     laplace_mixture_precision,
@@ -39,9 +39,6 @@ __all__ = [
 ]
 
 _ROWS_A, _ROWS_B, _SCALES, _V2, _V1, _SIGMA, _LAM2, _INIT = range(8)
-
-# Gaussian base kernel on the anchor has variance 100 per entry
-_KERNEL_VAR = 100.0
 
 
 def v2_conditional_logpdf(x, theta_ij, v1_ij, lam2, alpha):
@@ -172,25 +169,12 @@ def gibbs_matrix_smoothing(Y, config):
 
     def record():
         sv = np.linalg.svd(theta, compute_uv=False)[:n_sv]
-        row = np.concatenate(
-            [
-                A.ravel(),
-                B.ravel(),
-                V1.ravel(),
-                V2.ravel(),
-                [sigma2, float(np.linalg.norm(V1)), lam2],
-                sv,
-            ]
-        )
-        return row, {"V2": (V2, lam2)}, {"inv_s": inv_s}
+        values = {
+            "A": A, "B": B, "V1": V1, "V2": V2, "sigma2": sigma2,
+            "lam1": float(np.linalg.norm(V1)), "lam2": lam2,
+            **{f"sv_{k + 1}": s for k, s in enumerate(sv)},
+        }
+        return values, {"V2": (V2, lam2)}, {"inv_s": inv_s}
 
-    names = (
-        flat_names("A", p1, r)
-        + flat_names("B", p2, r)
-        + flat_names("V1", p1, p2)
-        + flat_names("V2", p1, p2)
-        + ["sigma2", "lam1", "lam2"]
-        + [f"sv_{k + 1}" for k in range(n_sv)]
-    )
-    return run_chain(config, step, record, names, "gap_matrix_smoothing",
+    return run_chain(config, step, record, "gap_matrix_smoothing",
                      alpha=alpha, rank=r)

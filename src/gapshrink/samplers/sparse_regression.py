@@ -19,7 +19,6 @@ from ..rng import stream, truncated_normal
 from .base import (
     HYPERPRIORS,
     box_strength_step,
-    flat_names,
     gaussian_draw,
     inverse_gamma,
     laplace_mixture_precision,
@@ -117,9 +116,7 @@ def gibbs_sparse_regression(X, y, config):
         sigma2 = inverse_gamma(shape, rate, rng)
 
     def record():
-        row = np.concatenate([theta, u, [lam, sigma2]])
-        return row, {"u": (u, lam)}, {"inv_s": inv_s, "inv_w": inv_w}
+        values = {"theta": theta, "u": u, "lam": lam, "sigma2": sigma2}
+        return values, {"u": (u, lam)}, {"inv_s": inv_s, "inv_w": inv_w}
 
-    names = flat_names("theta", p) + flat_names("u", p) + ["lam", "sigma2"]
-    return run_chain(config, step, record, names, "gap_sparse_regression",
-                     alpha=alpha)
+    return run_chain(config, step, record, "gap_sparse_regression", alpha=alpha)

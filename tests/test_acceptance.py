@@ -123,6 +123,7 @@ def exp1_report(tmp_path_factory):
     return rep, time.perf_counter() - t0
 
 
+@pytest.mark.slow
 class TestCriterion5SparseRegressionReproduction:
     def test_paper_scale_recovery(self, exp1_report):
         rep, elapsed = exp1_report
@@ -181,6 +182,7 @@ class TestCriterion5SparseRegressionReproduction:
         assert ok
 
 
+@pytest.mark.slow
 class TestCriterion6MatrixReproduction:
     def test_paper_scale_matrix_smoothing(self, tmp_path):
         cfg = ExperimentConfig(

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import pkgutil
 import re
@@ -367,7 +368,50 @@ class TestChainDriver:
             gaussian_draw(prec, np.ones(2), stream(cfg.seed, cfg.chain_id, sweep))
 
         with pytest.raises(NumericError, match=r"seed 17, chain 4, sweep 3\)"):
-            run_chain(cfg, step, lambda: ([0.0], {}, {}), ["x"], "test")
+            run_chain(cfg, step, lambda: ({"x": 0.0}, {}, {}), "test")
+
+
+def _grid(prefix, rows, cols):
+    return [f"{prefix}_{i}_{j}" for i in range(rows) for j in range(cols)]
+
+
+class TestColumnLabels:
+    """The column labels of every sampler at tiny sizes.  The chain CSVs
+    and every reader of them select columns by these names."""
+
+    CFG = {"warmup": 1, "retain": 2, "seed": 2}
+
+    def test_sparse_regression_and_comparators(self):
+        rng = np.random.default_rng(0)
+        X, y = rng.standard_normal((20, 3)), rng.standard_normal(20)
+        cfg = SamplerConfig(**self.CFG)
+        theta = ["theta_0", "theta_1", "theta_2"]
+        assert gibbs_sparse_regression(X, y, cfg).names == (
+            theta + ["u_0", "u_1", "u_2", "lam", "sigma2"]
+        )
+        assert gibbs_bayesian_lasso(X, y, cfg).names == theta + ["lam", "sigma2"]
+        assert gibbs_gdp(X, y, cfg).names == theta + ["sigma2"]
+
+    def test_matrix_smoothing(self):
+        Y = np.random.default_rng(1).standard_normal((5, 4, 3))
+        out = gibbs_matrix_smoothing(Y, SamplerConfig(rank=2, **self.CFG))
+        assert out.names == (
+            _grid("A", 4, 2) + _grid("B", 3, 2) + _grid("V1", 4, 3)
+            + _grid("V2", 4, 3)
+            + ["sigma2", "lam1", "lam2", "sv_1", "sv_2", "sv_3"]
+        )
+        assert out.draws.shape == (2, len(out.names))
+
+    @pytest.mark.parametrize("intercept", [False, True])
+    def test_fused_probit(self, intercept):
+        Y, X, deps, _ = gen_fused_probit(3, m=3, p=2, n=30)
+        cfg = SamplerConfig(random_intercept=intercept, **self.CFG)
+        out = gibbs_fused_probit(Y, X, deps, cfg)
+        assert out.names == (
+            _grid("theta", 3, 2) + _grid("v", 3, 2) + ["rho", "omega_cross"]
+            + (["tau2"] if intercept else [])
+        )
+        assert out.draws.shape == (2, len(out.names))
 
 
 class TestGaussianDraw:
@@ -462,9 +506,23 @@ class TestConfig:
             SamplerConfig(alpha=-1.0)
         with pytest.raises(ValueError):
             SamplerConfig(thinning=0)
+        # such a config would keep no draw at all
+        with pytest.raises(ValueError):
+            SamplerConfig(warmup=3, retain=2, thinning=3)
+        assert SamplerConfig(retain=3, thinning=3).thinning == 3
 
     def test_digest_tracks_settings(self):
         a = SamplerConfig(seed=1).digest()
-        b = SamplerConfig(seed=2).digest()
-        assert a != b
         assert SamplerConfig(seed=1).digest() == a
+        changed = {
+            "warmup": 7, "retain": 9, "seed": 2, "alpha": 3.5, "thinning": 2,
+            "chain_id": 4, "rank": 2, "random_intercept": True,
+        }
+        assert set(changed) == {f.name for f in dataclasses.fields(SamplerConfig)}
+        digests = {
+            SamplerConfig(**{"seed": 1, field: value}).digest()
+            for field, value in changed.items()
+        }
+        assert len(digests) == len(changed) and a not in digests
+        # the digest of a given config does not change between versions
+        assert SamplerConfig(seed=3, thinning=2).digest() == "ae1dd9b3f624cb7a"
