@@ -13,6 +13,8 @@ import math
 import numpy as np
 from scipy.special import log_ndtr, ndtr, ndtri, ndtri_exp
 
+from .errors import NumericError
+
 __all__ = [
     "stream",
     "truncated_normal",
@@ -120,6 +122,7 @@ def slice_sample_1d(logf, x0, width, rng, bounds=(-math.inf, math.inf),
     bounds clip both the initial bracket and the step-out walk, so regions
     outside them are never proposed.  When the step-out budget binds, the
     randomized left/right split keeps the capped walk reversible.
+    Raises NumericError when max_shrink shrinks find no point in the slice.
     """
     lo, hi = bounds
     x0 = float(x0)
@@ -151,4 +154,4 @@ def slice_sample_1d(logf, x0, width, rng, bounds=(-math.inf, math.inf),
             left = x1
         else:
             right = x1
-    raise RuntimeError("slice sampler failed to find an acceptable point")
+    raise NumericError(f"slice sampler found no point in {max_shrink} shrinks")

@@ -1,7 +1,8 @@
 """Shared sampler configuration, draw storage, the fixed hyperprior
 table, the base-kernel variance, and the conditional draws the samplers
-share: the Gaussian block draw, the Laplace scale-mixture precision, the
-inverse-gamma draw and the slice move on a box strength."""
+share: the Gaussian block draw, the regression theta draw, the Laplace
+scale-mixture precision, the inverse-gamma draw and the slice move on a box
+strength."""
 
 from __future__ import annotations
 
@@ -11,7 +12,8 @@ from dataclasses import asdict, dataclass
 from types import MappingProxyType
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, solve_triangular
+from scipy.linalg import LinAlgError, cho_factor, cho_solve, solve_triangular
+from scipy.linalg.blas import dgemv, dsyrk
 
 from ..errors import NumericError
 from ..rng import inverse_gaussian, slice_sample_1d
@@ -21,6 +23,7 @@ __all__ = [
     "PosteriorSamples",
     "HYPERPRIORS",
     "gaussian_draw",
+    "regression_theta_sampler",
     "laplace_mixture_precision",
     "inverse_gamma",
     "box_strength_logpdf",
@@ -73,6 +76,8 @@ class SamplerConfig:
             raise ValueError("thinning must be between 1 and retain")
         if self.alpha <= 0:
             raise ValueError("alpha must be positive")
+        if self.rank < 1:
+            raise ValueError("rank must be at least 1")
 
     def digest(self):
         return hashlib.sha256(
@@ -103,9 +108,9 @@ class PosteriorSamples:
         return self.draws[:, cols]
 
 
-def gaussian_draw(prec, lin, rng, scale=1.0):
-    """Draw prec^-1 lin + scale * L^-T z, z standard normal, where
-    prec = L L^T; that is N(prec^-1 lin, scale^2 prec^-1).
+def gaussian_draw(prec, lin, rng):
+    """Draw prec^-1 lin + L^-T z, z standard normal, where prec = L L^T;
+    that is N(prec^-1 lin, prec^-1).
 
     prec is one (r, r) precision with lin of shape (r,), or a stack of k
     precisions (k, r, r) with lin of shape (k, r), one independent draw per
@@ -136,9 +141,83 @@ def gaussian_draw(prec, lin, rng, scale=1.0):
             "conditional precision is not positive definite "
             f"(min diagonal {np.min(np.diagonal(prec, axis1=-2, axis2=-1)):.3e})"
         ) from exc
-    draw = mean + scale * noise
+    draw = mean + noise
     if not np.all(np.isfinite(draw)):
         raise NumericError("Gaussian block draw is not finite")
+    return draw
+
+
+def regression_theta_sampler(X, y):
+    """The regression theta conditional of a design X (n, p) and response y:
+    returns draw(sigma2, d, b, rng), one draw of
+
+        N(Q^-1 (X'y / sigma2 + b), Q^-1),  Q = X'X / sigma2 + diag(d),
+
+    for positive prior precisions d (shape (p,)) and a prior shift b
+    (shape (p,), or 0).
+
+    When n >= p the draw is gaussian_draw on the p x p precision Q.  When
+    n < p it goes through an n x n system instead, at O(n^2 p) per draw
+    against O(p^3) (Bhattacharya, Chakraborty & Mallick 2016, Biometrika):
+    with D = 1/d and the prior mean m0 = D b, draw u0 ~ N(0, diag(D)) and
+    delta ~ N(0, I_n), then
+        theta = m0 + u0 + D X' / sigma * M^-1 ((y - X (m0 + u0)) / sigma - delta)
+    with M = X diag(D) X' / sigma2 + I_n; neither a p x p array nor a copy
+    of a C-ordered X is formed.  Every BLAS and LAPACK call of that path
+    goes through scipy: numpy and scipy each load their own OpenBLAS, and
+    alternating between the two copies is several times slower than either
+    alone.  p standard normals are drawn, then n.
+
+    draw raises NumericError when the system is not positive definite or
+    the draw is not finite.
+    """
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
+    n, p = X.shape
+    if n >= p:
+        XtX = X.T @ X
+        Xty = X.T @ y
+        # one precision buffer for all draws, so no p x p array is freed and
+        # page-faulted in again each sweep
+        prec = np.empty_like(XtX)
+
+        def draw(sigma2, d, b, rng):
+            np.divide(XtX, sigma2, out=prec)
+            prec[np.diag_indices_from(prec)] += d
+            return gaussian_draw(prec, Xty / sigma2 + b, rng)
+
+        return draw
+
+    # X' and diag(sqrt(D)) X' in Fortran order, so scipy's BLAS reads them
+    # uncopied; X' is a view when X is C-ordered
+    Xt = np.asfortranarray(X.T)
+    XSt = np.empty_like(Xt)
+    M = np.zeros((n, n), order="F")
+    diag = np.diag_indices(n)
+
+    def draw(sigma2, d, b, rng):
+        D = 1.0 / d
+        root_d = np.sqrt(D)
+        sigma = np.sqrt(sigma2)
+        prior = b * D + root_d * rng.standard_normal(p)
+        resid = (y - dgemv(1.0, Xt, prior, trans=1)) / sigma - rng.standard_normal(n)
+        np.multiply(Xt, root_d[:, None], out=XSt)
+        # lower triangle of X diag(D) X' / sigma2, written into M
+        dsyrk(1.0 / sigma2, XSt, c=M, trans=1, lower=1, overwrite_c=1)
+        M[diag] += 1.0
+        try:
+            cf = cho_factor(M, lower=True, overwrite_a=True, check_finite=False)
+        except LinAlgError as exc:
+            raise NumericError(
+                "n x n regression system is not positive definite "
+                f"(min prior precision {np.min(d):.3e})"
+            ) from exc
+        w = cho_solve(cf, resid, check_finite=False)
+        theta = prior + D / sigma * dgemv(1.0, Xt, w)
+        if not np.all(np.isfinite(theta)):
+            raise NumericError("regression theta draw is not finite")
+        return theta
+
     return draw
 
 

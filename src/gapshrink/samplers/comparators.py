@@ -10,9 +10,9 @@ import numpy as np
 from ..rng import slice_sample_1d, stream
 from .base import (
     HYPERPRIORS,
-    gaussian_draw,
     inverse_gamma,
     laplace_mixture_precision,
+    regression_theta_sampler,
 )
 from .chain import run_chain
 
@@ -63,11 +63,7 @@ def gibbs_bayesian_lasso(X, y, config):
     a_sig, b_sig = HYPERPRIORS["sigma2"]
     seed, chain = config.seed, config.chain_id
 
-    XtX = X.T @ X
-    Xty = X.T @ y
-    # one precision buffer for all sweeps, so no p x p array is freed and
-    # page-faulted in again each sweep
-    prec = np.empty_like(XtX)
+    theta_draw = regression_theta_sampler(X, y)
 
     rng0 = stream(seed, chain, 0, _INIT)
     theta = 0.01 * rng0.standard_normal(p)
@@ -84,9 +80,7 @@ def gibbs_bayesian_lasso(X, y, config):
         tau2 = 1.0 / inv_tau2
 
         rng = stream(seed, chain, sweep, _THETA)
-        np.copyto(prec, XtX)
-        prec[np.diag_indices_from(prec)] += inv_tau2
-        theta = gaussian_draw(prec, Xty, rng, scale=np.sqrt(sigma2))
+        theta = theta_draw(sigma2, inv_tau2 / sigma2, 0.0, rng)
 
         rng = stream(seed, chain, sweep, _SIGMA)
         resid = y - X @ theta
@@ -118,11 +112,7 @@ def gibbs_gdp(X, y, config):
     a_sig, b_sig = HYPERPRIORS["sigma2"]
     seed, chain = config.seed, config.chain_id
 
-    XtX = X.T @ X
-    Xty = X.T @ y
-    # one precision buffer for all sweeps, so no p x p array is freed and
-    # page-faulted in again each sweep
-    prec = np.empty_like(XtX)
+    theta_draw = regression_theta_sampler(X, y)
 
     rng0 = stream(seed, chain, 0, _INIT)
     theta = 0.01 * rng0.standard_normal(p)
@@ -138,9 +128,7 @@ def gibbs_gdp(X, y, config):
         inv_s = laplace_mixture_precision(theta, lam_j, rng, scale=sigma)
 
         rng = stream(seed, chain, sweep, _THETA)
-        np.copyto(prec, XtX)
-        prec[np.diag_indices_from(prec)] += inv_s
-        theta = gaussian_draw(prec, Xty, rng, scale=np.sqrt(sigma2))
+        theta = theta_draw(sigma2, inv_s / sigma2, 0.0, rng)
 
         rng = stream(seed, chain, sweep, _SIGMA)
         resid = y - X @ theta

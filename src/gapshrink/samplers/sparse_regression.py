@@ -19,9 +19,9 @@ from ..rng import stream, truncated_normal
 from .base import (
     HYPERPRIORS,
     box_strength_step,
-    gaussian_draw,
     inverse_gamma,
     laplace_mixture_precision,
+    regression_theta_sampler,
 )
 from .chain import run_chain
 
@@ -74,11 +74,7 @@ def gibbs_sparse_regression(X, y, config):
     a_sig, b_sig = HYPERPRIORS["sigma2"]
     seed, chain = config.seed, config.chain_id
 
-    XtX = X.T @ X
-    Xty = X.T @ y
-    # one precision buffer for all sweeps, so no p x p array is freed and
-    # page-faulted in again each sweep
-    prec = np.empty_like(XtX)
+    theta_draw = regression_theta_sampler(X, y)
 
     rng0 = stream(seed, chain, 0, _INIT)
     theta = 0.1 * rng0.standard_cauchy(p)
@@ -96,10 +92,7 @@ def gibbs_sparse_regression(X, y, config):
         inv_w = 1.0 / w
 
         rng = stream(seed, chain, sweep, _THETA)
-        np.divide(XtX, sigma2, out=prec)
-        prec[np.diag_indices_from(prec)] += inv_s + inv_w
-        lin = Xty / sigma2 - u * inv_w
-        theta = gaussian_draw(prec, lin, rng)
+        theta = theta_draw(sigma2, inv_s + inv_w, -u * inv_w, rng)
 
         rng = stream(seed, chain, sweep, _DUAL)
         u = dual_block_draw(theta, w, lam, alpha, rng)

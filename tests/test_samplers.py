@@ -11,7 +11,7 @@ import gapshrink.samplers
 from gapshrink.datasets import gen_fused_probit
 from gapshrink.errors import NumericError
 from gapshrink.priors import complete_graph
-from gapshrink.rng import inverse_gaussian, stream
+from gapshrink.rng import inverse_gaussian, slice_sample_1d, stream
 from gapshrink.samplers import (
     HYPERPRIORS,
     SamplerConfig,
@@ -26,6 +26,7 @@ from gapshrink.samplers.base import (
     gaussian_draw,
     inverse_gamma,
     laplace_mixture_precision,
+    regression_theta_sampler,
 )
 from gapshrink.samplers.chain import check_state, run_chain
 from gapshrink.samplers.fused_probit import (
@@ -309,9 +310,19 @@ class TestChainState:
             self._check(scale=0.0)
 
 
-def _run_regression(sampler):
+def wide_data(seed=11, n=20, p=40):
+    """A p > n design with three nonzero coefficients, so the regression
+    samplers draw theta through their n x n system."""
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, p))
+    theta = np.zeros(p)
+    theta[:3] = [2.0, -3.0, 1.5]
+    return X, X @ theta + 0.5 * rng.standard_normal(n), theta
+
+
+def _run_regression(sampler, data=strong_signal_data):
     def run(cfg):
-        X, y, _ = strong_signal_data()
+        X, y, _ = data()
         return sampler(X, y, cfg)
 
     return run
@@ -332,6 +343,11 @@ CHAINS = {
     "sparse_regression": (_run_regression(gibbs_sparse_regression), {"alpha": 100.0}),
     "bayesian_lasso": (_run_regression(gibbs_bayesian_lasso), {}),
     "gdp": (_run_regression(gibbs_gdp), {}),
+    "sparse_regression_wide": (
+        _run_regression(gibbs_sparse_regression, wide_data), {"alpha": 100.0}
+    ),
+    "bayesian_lasso_wide": (_run_regression(gibbs_bayesian_lasso, wide_data), {}),
+    "gdp_wide": (_run_regression(gibbs_gdp, wide_data), {}),
     "matrix_smoothing": (_run_matrix_smoothing, {"alpha": 20.0, "rank": 2}),
     "fused_probit": (_run_fused_probit, {"alpha": 100.0}),
     "fused_probit_intercept": (
@@ -368,6 +384,21 @@ class TestChainDriver:
             gaussian_draw(prec, np.ones(2), stream(cfg.seed, cfg.chain_id, sweep))
 
         with pytest.raises(NumericError, match=r"seed 17, chain 4, sweep 3\)"):
+            run_chain(cfg, step, lambda: ({"x": 0.0}, {}, {}), "test")
+
+    def test_slice_failure_names_replay_coordinate(self):
+        cfg = SamplerConfig(warmup=2, retain=3, seed=23, chain_id=1)
+
+        def step(sweep):
+            # at sweep 4 the slice is the start point alone, so every shrink
+            # misses and the move exhausts its budget
+            def logf(x):
+                return 0.0 if sweep != 4 or x == 0.5 else -np.inf
+
+            rng = stream(cfg.seed, cfg.chain_id, sweep)
+            slice_sample_1d(logf, 0.5, 1.0, rng, max_shrink=50)
+
+        with pytest.raises(NumericError, match=r"seed 23, chain 1, sweep 4\)"):
             run_chain(cfg, step, lambda: ({"x": 0.0}, {}, {}), "test")
 
 
@@ -430,24 +461,102 @@ class TestGaussianDraw:
 
     @pytest.mark.parametrize("stack", [None, 2])
     def test_whitened_draws_standard_normal(self, stack):
-        # one 3 x 3 precision, or a stack of two; x = prec^-1 lin +
-        # scale L^-T z, so L^T (x - prec^-1 lin) / scale must be N(0, 1)
+        # one 3 x 3 precision, or a stack of two; x = prec^-1 lin + L^-T z,
+        # so L^T (x - prec^-1 lin) must be N(0, 1)
         rng0 = np.random.default_rng(3)
         M = rng0.standard_normal((stack or 1, 3, 3))
         prec = M @ np.swapaxes(M, 1, 2) + 0.5 * np.eye(3)
         lin = rng0.standard_normal((stack or 1, 3))
         if stack is None:
             prec, lin = prec[0], lin[0]
-        scale = 1.7
         rng = stream(41)
-        draws = np.array(
-            [gaussian_draw(prec, lin, rng, scale=scale) for _ in range(self.N)]
-        )
+        draws = np.array([gaussian_draw(prec, lin, rng) for _ in range(self.N)])
         L = np.linalg.cholesky(prec)
         mean = np.linalg.solve(prec, lin[..., None])[..., 0]
-        white = np.einsum("...ji,n...j->n...i", L, draws - mean) / scale
+        white = np.einsum("...ji,n...j->n...i", L, draws - mean)
         for coord in white.reshape(self.N, -1).T:
             assert kstest(coord, "norm").pvalue > 0.01
+
+
+class _ZeroNormals:
+    """An rng stub whose standard normals are all zero, so a Gaussian draw
+    returns its mean."""
+
+    def standard_normal(self, size):
+        return np.zeros(size)
+
+
+class TestRegressionTheta:
+    """regression_theta_sampler draws N(Q^-1 (X'y / sigma2 + b), Q^-1) with
+    Q = X'X / sigma2 + diag(d): through Q itself when n >= p, through the
+    n x n system when n < p."""
+
+    N = 2000
+    SIGMA2 = 1.7
+
+    @staticmethod
+    def problem(n, p):
+        rng = np.random.default_rng(5)
+        X = rng.standard_normal((n, p))
+        y = rng.standard_normal(n)
+        d = rng.uniform(0.3, 3.0, p)
+        b = rng.standard_normal(p)
+        return X, y, d, b
+
+    def dense(self, X, y, d, b):
+        Q = X.T @ X / self.SIGMA2 + np.diag(d)
+        return Q, np.linalg.solve(Q, X.T @ y / self.SIGMA2 + b)
+
+    @pytest.mark.parametrize("shape", [(4, 7), (50, 5)])
+    def test_zero_noise_gives_exact_mean(self, shape):
+        X, y, d, b = self.problem(*shape)
+        _, mean = self.dense(X, y, d, b)
+        draw = regression_theta_sampler(X, y)
+        got = draw(self.SIGMA2, d, b, _ZeroNormals())
+        np.testing.assert_allclose(got, mean, rtol=0, atol=1e-10)
+        # b = 0, as the comparators pass it
+        _, mean0 = self.dense(X, y, d, np.zeros_like(b))
+        got0 = draw(self.SIGMA2, d, 0.0, _ZeroNormals())
+        np.testing.assert_allclose(got0, mean0, rtol=0, atol=1e-10)
+
+    def test_wide_whitened_draws_standard_normal(self):
+        # n < p: L^T (x - mean), with Q = L L^T, must be N(0, I_p)
+        X, y, d, b = self.problem(4, 7)
+        Q, mean = self.dense(X, y, d, b)
+        draw = regression_theta_sampler(X, y)
+        rng = stream(43)
+        draws = np.array([draw(self.SIGMA2, d, b, rng) for _ in range(self.N)])
+        white = (draws - mean) @ np.linalg.cholesky(Q)
+        for coord in white.T:
+            assert kstest(coord, "norm").pvalue > 0.01
+
+    def test_tall_draw_is_gaussian_draw(self):
+        # n >= p keeps the p x p path, bit for bit
+        X, y, d, b = self.problem(50, 5)
+        got = regression_theta_sampler(X, y)(self.SIGMA2, d, b, stream(8))
+        prec = X.T @ X / self.SIGMA2
+        prec[np.diag_indices_from(prec)] += d
+        want = gaussian_draw(prec, X.T @ y / self.SIGMA2 + b, stream(8))
+        np.testing.assert_array_equal(got, want)
+
+    def test_wide_path_allocates_no_p_by_p_array(self):
+        import tracemalloc
+
+        X, y, d, b = self.problem(10, 1000)
+        tracemalloc.start()
+        try:
+            regression_theta_sampler(X, y)(self.SIGMA2, d, b, stream(2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one 1000 x 1000 float64 array would take 8 MB
+        assert peak < 1e6
+
+    def test_nonfinite_draw_raises(self):
+        X, y, d, b = self.problem(4, 7)
+        d[2] = np.nan
+        with pytest.raises(NumericError):
+            regression_theta_sampler(X, y)(self.SIGMA2, d, b, stream(0))
 
 
 class TestLaplaceMixture:
@@ -506,6 +615,8 @@ class TestConfig:
             SamplerConfig(alpha=-1.0)
         with pytest.raises(ValueError):
             SamplerConfig(thinning=0)
+        with pytest.raises(ValueError):
+            SamplerConfig(rank=0)
         # such a config would keep no draw at all
         with pytest.raises(ValueError):
             SamplerConfig(warmup=3, retain=2, thinning=3)
