@@ -2,6 +2,7 @@ import dataclasses
 import importlib
 import pkgutil
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -540,8 +541,6 @@ class TestRegressionTheta:
         np.testing.assert_array_equal(got, want)
 
     def test_wide_path_allocates_no_p_by_p_array(self):
-        import tracemalloc
-
         X, y, d, b = self.problem(10, 1000)
         tracemalloc.start()
         try:
