@@ -10,7 +10,6 @@ its acceptance thresholds, 1 when it fails, 2 on error.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 
@@ -19,20 +18,17 @@ from .samplers import SamplerConfig
 
 # every subcommand's flags and their defaults; gap-check runs from its seed
 _COMMON = {"seed": 0, "out": "runs"}
-_CHAIN = {**_COMMON, "alpha": 1000.0, "thinning": 1}
 _DEFAULTS = {
-    "exp1": {**_CHAIN, "warmup": 1000, "retain": 1000, "reps": 5},
-    "exp2": {**_CHAIN, "warmup": 3000, "retain": 3000, "reps": 1, "rank": 5},
-    "exp3": {**_CHAIN, "warmup": 500, "retain": 500, "reps": 1, "random_intercept": False},
+    "exp1": {**_COMMON, "warmup": 1000, "retain": 1000, "alpha": 1000.0, "reps": 5},
+    "exp2": {**_COMMON, "warmup": 3000, "retain": 3000, "alpha": 1000.0, "reps": 1},
+    "exp3": {**_COMMON, "warmup": 500, "retain": 500, "alpha": 1000.0, "reps": 1},
     "gap-check": _COMMON,
 }
 
-_SAMPLER_FIELDS = {f.name for f in dataclasses.fields(SamplerConfig)}
-
 # every flag's type; a --config file may set the flags of its subcommand
 _FLAG_TYPES = {
-    "seed": int, "reps": int, "warmup": int, "retain": int, "thinning": int,
-    "rank": int, "alpha": float, "out": str, "random_intercept": bool,
+    "seed": int, "reps": int, "warmup": int, "retain": int,
+    "alpha": float, "out": str,
 }
 
 
@@ -45,10 +41,7 @@ def build_parser():
     for exp in EXPERIMENT_IDS:
         sp = sub.add_parser(exp)
         for flag, default in _DEFAULTS[exp].items():
-            kind = _FLAG_TYPES[flag]
-            # a switch: type=bool would read any non-empty string as true
-            how = {"action": "store_true"} if kind is bool else {"type": kind}
-            sp.add_argument("--" + flag.replace("_", "-"), default=default, **how)
+            sp.add_argument(f"--{flag}", type=_FLAG_TYPES[flag], default=default)
         sp.add_argument("--config", type=str, default=None,
                         help="JSON file whose entries override the flags")
     return parser
@@ -57,14 +50,13 @@ def build_parser():
 def _config_value(key, value):
     """value as its flag's type; a JSON value of another type is an error
     (integer flags take integers but not booleans, float flags take
-    numbers, --out takes a string, a switch takes true or false)."""
+    numbers, --out takes a string)."""
     kind = _FLAG_TYPES[key]
     number = isinstance(value, (int, float)) and not isinstance(value, bool)
     ok, wanted = {
         int: (number and isinstance(value, int), "an integer"),
         float: (number, "a number"),
         str: (isinstance(value, str), "a string"),
-        bool: (isinstance(value, bool), "true or false"),
     }[kind]
     if not ok:
         raise ValueError(
@@ -92,11 +84,12 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         args = _apply_config_file(args)
-        chain = {k: v for k, v in vars(args).items() if k in _SAMPLER_FIELDS}
+        chain = {k: getattr(args, k) for k in ("warmup", "retain", "alpha")
+                 if hasattr(args, k)}
         config = ExperimentConfig(
             experiment=args.experiment,
             replications=getattr(args, "reps", 1),
-            sampler=SamplerConfig(**chain),
+            sampler=SamplerConfig(seed=args.seed, **chain),
             data_seed=2024 + args.seed,
             out_dir=args.out,
         )

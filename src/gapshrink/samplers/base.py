@@ -76,8 +76,6 @@ class SamplerConfig:
             raise ValueError("thinning must be between 1 and retain")
         if self.alpha <= 0:
             raise ValueError("alpha must be positive")
-        if self.rank < 1:
-            raise ValueError("rank must be at least 1")
 
     def digest(self):
         return hashlib.sha256(
@@ -156,17 +154,16 @@ def regression_theta_sampler(X, y):
     for positive prior precisions d (shape (p,)) and a prior shift b
     (shape (p,), or 0).
 
-    When n >= p the draw is gaussian_draw on the p x p precision Q.  When
-    n < p it goes through an n x n system instead, at O(n^2 p) per draw
-    against O(p^3) (Bhattacharya, Chakraborty & Mallick 2016, Biometrika):
-    with D = 1/d and the prior mean m0 = D b, draw u0 ~ N(0, diag(D)) and
-    delta ~ N(0, I_n), then
+    The draw goes through an n x n system, at O(n^2 p) per draw against
+    O(p^3) for the p x p precision (Bhattacharya, Chakraborty & Mallick
+    2016, Biometrika): with D = 1/d and the prior mean m0 = D b, draw
+    u0 ~ N(0, diag(D)) and delta ~ N(0, I_n), then
         theta = m0 + u0 + D X' / sigma * M^-1 ((y - X (m0 + u0)) / sigma - delta)
     with M = X diag(D) X' / sigma2 + I_n; neither a p x p array nor a copy
-    of a C-ordered X is formed.  Every BLAS and LAPACK call of that path
-    goes through scipy: numpy and scipy each load their own OpenBLAS, and
-    alternating between the two copies is several times slower than either
-    alone.  p standard normals are drawn, then n.
+    of a C-ordered X is formed.  Every BLAS and LAPACK call goes through
+    scipy: numpy and scipy each load their own OpenBLAS, and alternating
+    between the two copies is several times slower than either alone.
+    p standard normals are drawn, then n.
 
     draw raises NumericError when the system is not positive definite or
     the draw is not finite.
@@ -174,20 +171,6 @@ def regression_theta_sampler(X, y):
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     n, p = X.shape
-    if n >= p:
-        XtX = X.T @ X
-        Xty = X.T @ y
-        # one precision buffer for all draws, so no p x p array is freed and
-        # page-faulted in again each sweep
-        prec = np.empty_like(XtX)
-
-        def draw(sigma2, d, b, rng):
-            np.divide(XtX, sigma2, out=prec)
-            prec[np.diag_indices_from(prec)] += d
-            return gaussian_draw(prec, Xty / sigma2 + b, rng)
-
-        return draw
-
     # X' and diag(sqrt(D)) X' in Fortran order, so scipy's BLAS reads them
     # uncopied; X' is a view when X is C-ordered
     Xt = np.asfortranarray(X.T)

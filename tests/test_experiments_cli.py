@@ -280,74 +280,6 @@ class TestCLI:
         assert flag in capsys.readouterr().err
         assert not (tmp_path / "gap-check").exists()
 
-    @staticmethod
-    def run_short(tmp_path, exp, flags=(), config=None):
-        """main on a 2 + retain sweep run; config, when given, goes through
-        a --config file.  Returns the exit code and the CSV header."""
-        extra = []
-        if config is not None:
-            cfg_file = tmp_path / "cfg.json"
-            cfg_file.write_text(json.dumps(config))
-            extra = ["--config", str(cfg_file)]
-        code = main([exp, "--warmup", "2", "--retain", "2", "--out", str(tmp_path),
-                     *flags, *extra])
-        csvs = list((tmp_path / exp).glob("rep0_*.csv"))
-        header = csvs[0].read_text().splitlines()[0].split(",") if csvs else None
-        return code, header
-
-    @pytest.mark.parametrize("via", ["flag", "config"])
-    def test_thinning(self, tmp_path, via):
-        # 6 retained sweeps at thinning 2 keep 3 rows
-        flags = ["--reps", "1", "--alpha", "50", "--retain", "6"]
-        if via == "flag":
-            code, _ = self.run_short(tmp_path, "exp1", [*flags, "--thinning", "2"])
-        else:
-            code, _ = self.run_short(tmp_path, "exp1", flags, {"thinning": 2})
-        assert code in (0, 1)
-        data = np.loadtxt(tmp_path / "exp1" / "rep0_gap_shrinkage.csv",
-                          delimiter=",", skiprows=1)
-        assert data.shape[0] == 3
-
-    @pytest.mark.parametrize("via", ["flag", "config"])
-    def test_rank(self, tmp_path, via):
-        if via == "flag":
-            code, header = self.run_short(tmp_path, "exp2", ["--rank", "2"])
-        else:
-            code, header = self.run_short(tmp_path, "exp2", config={"rank": 2})
-        assert code in (0, 1)
-        assert "A_0_1" in header and "A_0_2" not in header
-
-    @pytest.mark.parametrize(
-        "flags, config, intercept",
-        [(["--random-intercept"], None, True), ([], None, False),
-         ([], {"random_intercept": True}, True),
-         (["--random-intercept"], {"random_intercept": False}, False)],
-    )
-    def test_random_intercept_switch(self, tmp_path, flags, config, intercept):
-        code, header = self.run_short(tmp_path, "exp3", flags, config)
-        assert code in (0, 1)
-        assert ("tau2" in header) == intercept
-
-    def test_random_intercept_takes_no_value(self, tmp_path):
-        # a switch, so "False" is never read as true: argparse rejects it
-        with pytest.raises(SystemExit) as exc:
-            self.run_short(tmp_path, "exp3", ["--random-intercept", "False"])
-        assert exc.value.code == 2
-
-    @pytest.mark.parametrize(
-        "exp, entry",
-        [("exp1", {"thinning": 1.0}), ("exp2", {"rank": "2"}),
-         ("exp3", {"random_intercept": "False"}), ("exp3", {"random_intercept": 0}),
-         # each flag belongs to the subcommands it applies to
-         ("exp1", {"rank": 2}), ("exp2", {"random_intercept": True})],
-    )
-    def test_sampler_flag_config_checked(self, tmp_path, capsys, exp, entry):
-        code, _ = self.run_short(tmp_path, exp, config=entry)
-        assert code == 2
-        (key,) = entry
-        assert key in capsys.readouterr().err
-        assert not (tmp_path / exp).exists()
-
     def test_unknown_subcommand_rejected(self):
         with pytest.raises(SystemExit):
             main(["exp9"])
