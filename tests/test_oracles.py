@@ -1,8 +1,13 @@
 import numpy as np
 import pytest
-from scipy.optimize import minimize
+from scipy.optimize import brentq, minimize
 
-from gapshrink.errors import ConvergenceError, InfeasibleError, UnsupportedPenaltyError
+from gapshrink.errors import (
+    ConvergenceError,
+    DimensionError,
+    InfeasibleError,
+    UnsupportedPenaltyError,
+)
 from gapshrink.gaps import generalized_l1_gap
 from gapshrink.oracles import (
     brute_force_prox,
@@ -70,15 +75,18 @@ class TestProxFused:
         np.testing.assert_allclose(res.solution, [0.5, 0.5], atol=1e-8)
 
     def test_agrees_with_grid_oracle(self):
+        # 2- and 3-node chains; the 3-D grid is coarser to bound its cost
+        chain3 = np.array([[1.0, -1.0, 0.0], [0.0, 1.0, -1.0]])
         rng = np.random.default_rng(2)
-        for _ in range(10):
-            beta = rng.normal(0, 1.5, 2)
-            lam = rng.uniform(0.1, 1.5)
-            spec = GeneralizedL1(self.D, lam)
-            ref = brute_force_prox(beta, spec, 601)
-            res = prox_fused(beta, self.D, lam, tol=1e-10)
-            step = 4 * np.max(np.abs(beta)) / 600
-            assert np.max(np.abs(res.solution - ref)) <= 2 * step
+        for D, grid in ((self.D, 601), (chain3, 101)):
+            for _ in range(10):
+                beta = rng.normal(0, 1.5, D.shape[1])
+                lam = rng.uniform(0.1, 1.5)
+                spec = GeneralizedL1(D, lam)
+                ref = brute_force_prox(beta, spec, grid)
+                res = prox_fused(beta, D, lam, tol=1e-10)
+                step = 4 * np.max(np.abs(beta)) / (grid - 1)
+                assert np.max(np.abs(res.solution - ref)) <= 2 * step
 
     def test_subgradient_optimality(self):
         # beta - z must lie in lam * D' @ subgradient(||Dz||_1): active rows
@@ -122,6 +130,14 @@ class TestProxFused:
         with pytest.raises(ConvergenceError) as err:
             prox_fused(np.array([5.0, -5.0]), self.D, 1.0, tol=1e-14, max_iter=3)
         assert err.value.residual is not None
+
+    def test_negative_penalty_rejected(self):
+        with pytest.raises(ValueError):
+            prox_fused(np.array([1.0, 0.0]), self.D, -0.5)
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(DimensionError):
+            prox_fused(np.array([1.0, 0.0, 2.0]), self.D, 1.0)
 
 
 class TestSVT:
@@ -189,6 +205,42 @@ class TestKLProject:
             z = kl_project(beta, a, b, tol=1e-12).z
             assert float(a @ z) <= b + 1e-9
             assert np.all(z > 0)
+
+    def test_unreachable_tolerance_ends_at_root(self):
+        # at nu ~ 2770, |nu * h| <= 1e-13 needs |h| below float resolution;
+        # the search must still stop feasible and at the root of h
+        beta = np.array([0.6769707037609278, 0.3230292962390721])
+        a = np.array([-0.4927971811494493, -0.49355157317994464])
+        b = -0.493396196726554
+        z = kl_project(beta, a, b, tol=1e-13).z
+        assert float(a @ z) - b <= 1e-12
+
+        def h(nu):
+            w = beta * np.exp(-nu * (a - a.min()))
+            return float(a @ (w / w.sum())) - b
+
+        root = brentq(h, 0.0, 1e4, xtol=1e-12, rtol=1e-15)
+        # z_j / beta_j is proportional to exp(-nu a_j)
+        nu = np.log((z[1] / beta[1]) / (z[0] / beta[0])) / (a[0] - a[1])
+        assert abs(nu - root) <= 1e-9 * root
+
+    def test_zero_tolerance_stops_on_feasible_side(self):
+        # tol = 0 is met only where h is exactly 0; elsewhere the search
+        # must stop once its bracket collapses, at the feasible end
+        rng = np.random.default_rng(7)
+        for _ in range(50):
+            beta = rng.dirichlet(np.full(4, 2.0))
+            a = rng.normal(0, 1, 4)
+            b = float(np.min(a)) + rng.uniform(0.05, 1.0) * (
+                float(a @ beta) - float(np.min(a))
+            )
+            z = kl_project(beta, a, b, tol=0.0).z
+            assert float(a @ z) <= b
+
+    def test_iteration_cap(self):
+        with pytest.raises(ConvergenceError) as err:
+            kl_project([0.8, 0.2], [1.0, 0.0], 0.5, max_iter=1)
+        assert err.value.residual is not None
 
 
 class TestBruteForce:
