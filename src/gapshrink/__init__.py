@@ -8,11 +8,9 @@ from .gaps import (
     fenchel_young_gap,
     generalized_l1_duality_gap,
     generalized_l1_gap,
-    hessian_block,
     kl_gap,
     l1_gap,
     proximal_duality_gap,
-    strong_convexity_radius,
     variational_additive_gap,
     variational_nuclear_gap,
 )

@@ -20,7 +20,7 @@ from .gaps import (
     proximal_duality_gap,
     variational_additive_gap,
 )
-from .oracles import kl_project, project_l1_ball, prox_fused, soft_threshold, svt
+from .oracles import _fused_admm, kl_project, project_l1_ball, soft_threshold, svt
 from .penalties import (
     GroupL2,
     Halfspace,
@@ -52,178 +52,241 @@ def _random_chain_diff(p):
     return D
 
 
+def _groups(rng, n, low, high):
+    """Draw a size in [low, high) for each of n cases; (size, count) pairs
+    for the sizes drawn, in increasing order."""
+    counts = np.bincount(rng.integers(low, high, n), minlength=high)[low:]
+    return [(low + i, int(c)) for i, c in enumerate(counts) if c]
+
+
+def _n_of(n_cases, period, phase):
+    """How many of the cases i < n_cases have i % period == phase."""
+    return len(range(phase, n_cases, period))
+
+
+def _shrink_into(norm, r, rng):
+    """Per-case factors that scale a point of norm `norm` to a uniform
+    0.2-1 fraction of radius r when it lies outside, and 1 otherwise."""
+    frac = rng.uniform(0.2, 1.0, norm.shape)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(norm > r, r / norm * frac, 1.0)
+
+
+# Each nonnegativity kind draws m cases of size p and returns their gaps at
+# feasible dual points.
+def _nonneg_l1(rng, p, m):
+    lam = rng.uniform(0.2, 2.5, m)
+    theta = rng.normal(0, 2, (m, p))
+    u = rng.uniform(-lam[:, None], lam[:, None], (m, p))
+    return fenchel_young_gap(L1(lam), theta, u)
+
+
+def _nonneg_gen_l1(rng, p, m):
+    lam = rng.uniform(0.2, 2.5, m)
+    theta = rng.normal(0, 2, (m, p))
+    u = rng.uniform(-lam[:, None], lam[:, None], (m, p - 1))
+    beta = rng.normal(0, 2, (m, p))
+    return generalized_l1_duality_gap(_random_chain_diff(p), lam, theta, u, beta)
+
+
+def _nonneg_ball(rng, p, m):
+    gaps = []
+    for t, tag in enumerate(("l1", "l2", "linf")):
+        c = _n_of(m, 3, t)
+        lam = rng.uniform(0.2, 2.5, c)
+        theta = rng.normal(0, 1, (c, p))
+        theta *= _shrink_into(_vector_norm(theta, tag), lam, rng)[:, None]
+        u = rng.normal(0, 2, (c, p))
+        gaps.append(fenchel_young_gap(NormBall(tag, lam), theta, u))
+    return np.concatenate(gaps)
+
+
+def _nonneg_group(rng, p, m):
+    groups = ((0, 1), tuple(range(2, p)))
+    radii = (rng.uniform(0.2, 2.5, m), rng.uniform(0.2, 2.5, m))
+    theta = rng.normal(0, 1, (m, p))
+    for g, r in zip(groups, radii):
+        g = list(g)
+        norm = np.linalg.norm(theta[:, g], axis=-1)
+        theta[:, g] *= _shrink_into(norm, r, rng)[:, None]
+    u = rng.normal(0, 2, (m, p))
+    return fenchel_young_gap(GroupL2(groups, radii), theta, u)
+
+
+def _nonneg_quad(rng, p, m):
+    M = rng.normal(0, 1, (m, p, p))
+    spec = Quadratic(M @ np.swapaxes(M, -1, -2) + 0.1 * np.eye(p))
+    return fenchel_young_gap(spec, rng.normal(0, 2, (m, p)), rng.normal(0, 2, (m, p)))
+
+
+def _nonneg_nuclear(rng, p, m):
+    gaps = []
+    for p2, c in _groups(rng, m, 2, 5):
+        lam = rng.uniform(0.2, 2.5, c)
+        theta = rng.normal(0, 1, (c, p, p2))
+        u = rng.normal(0, 1, (c, p, p2))
+        op = operator_norm(u)
+        frac = rng.uniform(0.1, 1.0, c)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            u *= np.where(op > 0, lam / op * frac, 1.0)[:, None, None]
+        gaps.append(fenchel_young_gap(Nuclear(lam, (p, p2)), theta, u))
+    return np.concatenate(gaps)
+
+
+def _nonneg_sum(rng, p, m):
+    b1 = NormBall("l1", rng.uniform(0.2, 2.5, m))
+    b2 = NormBall("linf", rng.uniform(0.2, 2.5, m))
+    theta = rng.normal(0, 1, (m, p))
+    theta *= _shrink_into(_vector_norm(theta, "l1"), b1.radius, rng)[:, None]
+    r2 = b2.radius[:, None]
+    theta = np.clip(theta, -r2, r2)
+    v = [rng.normal(0, 1, (m, p)), rng.normal(0, 1, (m, p))]
+    beta = theta + v[0] + v[1]
+    return variational_additive_gap([b1, b2], theta, v, beta)
+
+
+def _nonneg_kl(rng, p, m):
+    beta = rng.dirichlet(np.ones(p), m)
+    beta = np.maximum(beta, 1e-9)
+    beta /= beta.sum(axis=-1, keepdims=True)
+    z = rng.dirichlet(np.ones(p), m)
+    a = rng.normal(0, 1, (m, p))
+    nu = rng.uniform(0, 2, m)
+    hs = Halfspace(a, np.sum(a * z, axis=-1) + rng.uniform(0, 1, m))
+    return kl_gap(beta, z, nu[:, None] * a, hs)
+
+
+_NONNEG_KINDS = {
+    "l1": _nonneg_l1,
+    "gen_l1": _nonneg_gen_l1,
+    "ball": _nonneg_ball,
+    "group": _nonneg_group,
+    "quad": _nonneg_quad,
+    "nuclear": _nonneg_nuclear,
+    "sum": _nonneg_sum,
+    "kl": _nonneg_kl,
+}
+
+
 def check_gap_nonnegativity(n_cases=10_000, seed=0):
     """Weak duality across penalty kinds: every gap at a feasible dual
-    point must be nonnegative (within -1e-10)."""
+    point must be nonnegative (within -1e-10).
+
+    Case i is of kind i mod 8 with a size drawn in 2-6; each (kind, size)
+    group is drawn and evaluated as one stack."""
     rng = stream(seed, 0, 0, _BLOCK)
-    kinds = ("l1", "gen_l1", "ball", "group", "quad", "nuclear", "sum", "kl")
-    min_gap = np.inf
     per_kind = {}
-    for i in range(n_cases):
-        kind = kinds[i % len(kinds)]
-        p = int(rng.integers(2, 7))
-        lam = float(rng.uniform(0.2, 2.5))
-        if kind == "l1":
-            theta = rng.normal(0, 2, p)
-            u = rng.uniform(-lam, lam, p)
-            gap = fenchel_young_gap(L1(lam), theta, u)
-        elif kind == "gen_l1":
-            D = _random_chain_diff(p)
-            theta = rng.normal(0, 2, p)
-            u = rng.uniform(-lam, lam, p - 1)
-            beta = rng.normal(0, 2, p)
-            gap = generalized_l1_duality_gap(D, lam, theta, u, beta)
-        elif kind == "ball":
-            tag = ("l1", "l2", "linf")[i % 3]
-            ball = NormBall(tag, lam)
-            theta = rng.normal(0, 1, p)
-            norm = _vector_norm(theta, tag)
-            if norm > lam:
-                theta *= lam / norm * rng.uniform(0.2, 1.0)
-            u = rng.normal(0, 2, p)
-            gap = fenchel_young_gap(ball, theta, u)
-        elif kind == "group":
-            groups = ((0, 1), tuple(range(2, p)))
-            radii = (lam, float(rng.uniform(0.2, 2.5)))
-            spec = GroupL2(groups, radii)
-            theta = rng.normal(0, 1, p)
-            for g, r in zip(groups, radii):
-                gnorm = np.linalg.norm(theta[list(g)])
-                if gnorm > r:
-                    theta[list(g)] *= r / gnorm * rng.uniform(0.2, 1.0)
-            u = rng.normal(0, 2, p)
-            gap = fenchel_young_gap(spec, theta, u)
-        elif kind == "quad":
-            M = rng.normal(0, 1, (p, p))
-            spec = Quadratic(M @ M.T + 0.1 * np.eye(p))
-            gap = fenchel_young_gap(spec, rng.normal(0, 2, p), rng.normal(0, 2, p))
-        elif kind == "nuclear":
-            p2 = int(rng.integers(2, 5))
-            theta = rng.normal(0, 1, (p, p2))
-            u = rng.normal(0, 1, (p, p2))
-            op = operator_norm(u)
-            if op > 0:
-                u *= lam / op * rng.uniform(0.1, 1.0)
-            gap = fenchel_young_gap(Nuclear(lam, (p, p2)), theta, u)
-        elif kind == "sum":
-            b1 = NormBall("l1", lam)
-            b2 = NormBall("linf", float(rng.uniform(0.2, 2.5)))
-            theta = rng.normal(0, 1, p)
-            s1 = np.sum(np.abs(theta))
-            if s1 > lam:
-                theta *= lam / s1 * rng.uniform(0.2, 1.0)
-            theta = np.clip(theta, -b2.radius, b2.radius)
-            v = [rng.normal(0, 1, p), rng.normal(0, 1, p)]
-            beta = theta + v[0] + v[1]
-            gap = variational_additive_gap([b1, b2], theta, v, beta)
-        else:
-            beta = rng.dirichlet(np.ones(p))
-            beta = np.maximum(beta, 1e-9)
-            beta /= beta.sum()
-            z = rng.dirichlet(np.ones(p))
-            a = rng.normal(0, 1, p)
-            nu = float(rng.uniform(0, 2))
-            hs = Halfspace(a, float(a @ z) + rng.uniform(0, 1))
-            gap = kl_gap(beta, z, nu * a, hs)
-        gap = float(gap)
-        if np.isfinite(gap):
-            min_gap = min(min_gap, gap)
-            per_kind[kind] = min(per_kind.get(kind, np.inf), gap)
-    return {"cases": n_cases, "min_gap": min_gap, "per_kind": per_kind}
+    for k, (kind, draw) in enumerate(_NONNEG_KINDS.items()):
+        n = _n_of(n_cases, len(_NONNEG_KINDS), k)
+        gaps = np.concatenate(
+            [draw(rng, p, m) for p, m in _groups(rng, n, 2, 7)] or [np.empty(0)]
+        )
+        finite = gaps[np.isfinite(gaps)]
+        if finite.size:
+            per_kind[kind] = float(np.min(finite))
+    return {
+        "cases": n_cases,
+        "min_gap": min(per_kind.values(), default=np.inf),
+        "per_kind": per_kind,
+    }
 
 
 def check_theorem1(n_cases=1000, seed=0, admm_tol=1e-9):
     """Distance-to-projection bound: || z - oracle || <= sqrt(2 gap) for
     random feasible perturbations of the oracle pair, both for the l1
-    penalty (closed form) and the fused penalty (ADMM oracle)."""
+    penalty (closed form, even i) and the fused penalty (ADMM oracle, odd
+    i); each (penalty, size) group is one stack."""
     rng = stream(seed, 0, 1, _BLOCK)
     worst = -np.inf
-    for i in range(n_cases):
-        p = int(rng.integers(2, 7))
-        lam = float(rng.uniform(0.3, 2.0))
-        beta = rng.normal(0, 2, p)
-        if i % 2 == 0:
-            zhat = soft_threshold(beta, lam)
-            z = zhat + rng.normal(0, 0.3, p)
-            u = np.clip(beta - zhat + rng.normal(0, 0.2, p), -lam, lam)
-            gap = proximal_duality_gap(L1(lam), z, u, beta)
-        else:
-            D = _random_chain_diff(p)
-            res = prox_fused(beta, D, lam, tol=admm_tol)
-            zhat = res.solution
-            z = zhat + rng.normal(0, 0.3, p)
-            u = np.clip(res.dual + rng.normal(0, 0.2, p - 1), -lam, lam)
-            gap = generalized_l1_duality_gap(D, lam, z, u, beta)
-        dist = float(np.linalg.norm(z - zhat))
-        worst = max(worst, dist - np.sqrt(2.0 * max(gap, 0.0)))
+    for fused in (False, True):
+        for p, m in _groups(rng, _n_of(n_cases, 2, int(fused)), 2, 7):
+            lam = rng.uniform(0.3, 2.0, m)
+            beta = rng.normal(0, 2, (m, p))
+            box = lam[:, None]
+            if fused:
+                D = _random_chain_diff(p)
+                zhat, _, _, _, dual = _fused_admm(beta, D, lam, tol=admm_tol)
+                z = zhat + rng.normal(0, 0.3, (m, p))
+                u = np.clip(dual + rng.normal(0, 0.2, (m, p - 1)), -box, box)
+                gap = generalized_l1_duality_gap(D, lam, z, u, beta)
+            else:
+                zhat = soft_threshold(beta, lam)
+                z = zhat + rng.normal(0, 0.3, (m, p))
+                u = np.clip(beta - zhat + rng.normal(0, 0.2, (m, p)), -box, box)
+                gap = proximal_duality_gap(L1(lam), z, u, beta)
+            radius = np.sqrt(2.0 * np.maximum(gap, 0.0))
+            dist = np.linalg.norm(z - zhat, axis=-1)
+            worst = max(worst, float(np.max(dist - radius)))
     return {"cases": n_cases, "worst_violation": worst}
 
 
 def check_theorem2(n_cases=1000, seed=0):
     """KL distance bound: KL(z, projection) <= kl gap for feasible z and
-    dual points in the halfspace normal cone."""
+    dual points in the halfspace normal cone; each size is one stack."""
     rng = stream(seed, 0, 2, _BLOCK)
     worst = -np.inf
-    for _ in range(n_cases):
-        p = int(rng.integers(2, 7))
-        beta = rng.dirichlet(np.full(p, 2.0))
+    for p, m in _groups(rng, n_cases, 2, 7):
+        beta = rng.dirichlet(np.full(p, 2.0), m)
         beta = np.maximum(beta, 1e-6)
-        beta /= beta.sum()
-        a = rng.normal(0, 1, p)
-        amin = float(np.min(a))
-        span = float(a @ beta) - amin
-        b = amin + float(rng.uniform(0.05, 1.2)) * max(span, 1e-9)
+        beta /= beta.sum(axis=-1, keepdims=True)
+        a = rng.normal(0, 1, (m, p))
+        amin = np.min(a, axis=-1)
+        span = np.sum(a * beta, axis=-1) - amin
+        b = amin + rng.uniform(0.05, 1.2, m) * np.maximum(span, 1e-9)
         zhat = kl_project(beta, a, b, tol=1e-13).z
-        t = float(rng.uniform(0.0, 1.0))
-        vertex = np.zeros(p)
-        vertex[int(np.argmin(a))] = 1.0
+        t = rng.uniform(0.0, 1.0, m)[:, None]
+        vertex = np.zeros((m, p))
+        vertex[np.arange(m), np.argmin(a, axis=-1)] = 1.0
         z = t * zhat + (1.0 - t) * vertex
-        nu = float(rng.uniform(0.0, 3.0))
-        gap = kl_gap(beta, z, nu * a, Halfspace(a, b))
-        mask = z > 0
-        kl = float(np.sum(z[mask] * np.log(z[mask] / zhat[mask])))
-        worst = max(worst, kl - float(gap))
+        nu = rng.uniform(0.0, 3.0, m)
+        gap = kl_gap(beta, z, nu[:, None] * a, Halfspace(a, b))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            terms = z * np.log(z / zhat)
+        kl = np.sum(np.where(z > 0, terms, 0.0), axis=-1)
+        worst = max(worst, float(np.max(kl - gap)))
     return {"cases": n_cases, "worst_violation": worst}
+
+
+def _zero_gaps(rng, mode, p, m, admm_tol):
+    """Gaps at the oracle optima of m cases of size p in one mode."""
+    lam = rng.uniform(0.3, 2.0, m)
+    if mode == 2:
+        gaps = []
+        for p2, c in _groups(rng, m, 2, 5):
+            lam_c, lam = lam[:c], lam[c:]
+            M = rng.normal(0, 1.5, (c, p, p2))
+            zhat = svt(M, lam_c)
+            gaps.append(fenchel_young_gap(Nuclear(lam_c, (p, p2)), zhat, M - zhat))
+        return np.concatenate(gaps)
+    beta = rng.normal(0, 2, (m, p))
+    if mode == 0:
+        zhat = soft_threshold(beta, lam)
+        box = lam[:, None]
+        return l1_gap(lam, zhat, np.clip(beta - zhat, -box, box))
+    if mode == 1:
+        zhat = project_l1_ball(beta, lam)
+        return fenchel_young_gap(NormBall("l1", lam), zhat, beta - zhat)
+    D = _random_chain_diff(p)
+    zhat, _, _, _, dual = _fused_admm(beta, D, lam, tol=admm_tol)
+    return generalized_l1_gap(D, lam, zhat, dual)
 
 
 def check_zero_gap(n_cases=1000, seed=0, admm_tol=1e-8):
     """Gap at oracle optima: exactly solvable projections certify
-    themselves to 1e-8, the ADMM fused oracle to 10x its tolerance."""
+    themselves to 1e-8, the ADMM fused oracle to 10x its tolerance.
+
+    Case i runs mode i mod 4 (soft threshold, l1 ball, singular-value
+    threshold, fused ADMM); each (mode, size) group is one stack."""
     rng = stream(seed, 0, 3, _BLOCK)
-    worst_closed = 0.0
-    worst_admm = 0.0
-    for i in range(n_cases):
-        p = int(rng.integers(2, 7))
-        lam = float(rng.uniform(0.3, 2.0))
-        beta = rng.normal(0, 2, p)
-        mode = i % 4
-        if mode == 0:
-            zhat = soft_threshold(beta, lam)
-            u = np.clip(beta - zhat, -lam, lam)
-            worst_closed = max(worst_closed, float(l1_gap(lam, zhat, u)))
-        elif mode == 1:
-            ball = NormBall("l1", lam)
-            zhat = project_l1_ball(beta, lam)
-            u = beta - zhat
-            worst_closed = max(
-                worst_closed, float(fenchel_young_gap(ball, zhat, u))
-            )
-        elif mode == 2:
-            p2 = int(rng.integers(2, 5))
-            M = rng.normal(0, 1.5, (p, p2))
-            zhat = svt(M, lam)
-            u = M - zhat
-            gap = fenchel_young_gap(Nuclear(lam, (p, p2)), zhat, u)
-            worst_closed = max(worst_closed, float(gap))
-        else:
-            D = _random_chain_diff(p)
-            res = prox_fused(beta, D, lam, tol=admm_tol)
-            gap = generalized_l1_gap(D, lam, res.solution, res.dual)
-            worst_admm = max(worst_admm, float(gap))
+    worst = [0.0] * 4
+    for mode in range(4):
+        for p, m in _groups(rng, _n_of(n_cases, 4, mode), 2, 7):
+            gaps = _zero_gaps(rng, mode, p, m, admm_tol)
+            worst[mode] = max(worst[mode], float(np.max(gaps)))
     return {
         "cases": n_cases,
-        "worst_closed_form": worst_closed,
-        "worst_admm": worst_admm,
+        "worst_closed_form": max(worst[:3]),
+        "worst_admm": worst[3],
         "admm_tol": admm_tol,
     }
 

@@ -5,6 +5,10 @@ projection: it is nonnegative by weak duality and zero exactly at the
 optimum, where the dual point certifies optimality.  Variational forms
 give tight tractable upper bounds when the conjugate itself is not
 closed-form (additive penalties, nuclear norm).
+
+Like the penalties, the gaps take stacks of cases along leading axes, with
+per-case parameters (lam) as floats or arrays over the case axes; one case
+gives a float and a stack an array of gaps.
 """
 
 from __future__ import annotations
@@ -18,10 +22,15 @@ from .penalties import (
     GroupL2,
     Halfspace,
     NormBall,
-    Nuclear,
-    Quadratic,
     Sum,
+    _case_param,
+    _check_cases,
+    _dot,
+    _matvec,
+    _per_entry,
+    _result,
     conjugate_value,
+    domain_axes,
     halfspace_support,
     operator_norm,
     penalty_value,
@@ -38,22 +47,21 @@ __all__ = [
     "kl_gap",
     "variational_additive_gap",
     "variational_nuclear_gap",
-    "strong_convexity_radius",
-    "hessian_block",
 ]
 
 
 @dataclass
 class SimplexPoint:
-    """Point on the probability simplex: nonnegative entries summing to 1."""
+    """Point on the probability simplex: nonnegative entries summing to 1
+    (along the last axis, for each case of a stack)."""
 
     z: np.ndarray
 
     def __post_init__(self):
-        self.z = np.asarray(self.z, dtype=float).ravel()
+        self.z = np.atleast_1d(np.asarray(self.z, dtype=float))
         if np.any(self.z < -1e-12):
             raise ValueError("simplex point has a negative entry")
-        if abs(float(np.sum(self.z)) - 1.0) > 1e-12:
+        if np.any(np.abs(np.sum(self.z, axis=-1) - 1.0) > 1e-12):
             raise ValueError("simplex point entries must sum to 1")
 
 
@@ -64,23 +72,22 @@ def as_simplex(x):
     return SimplexPoint(x).z
 
 
+def _vectors(*xs):
+    """Each argument as a float array with at least one (entry) axis."""
+    return [np.atleast_1d(np.asarray(x, dtype=float)) for x in xs]
+
+
 def fenchel_young_gap(spec, theta, u):
     """g*(u) + g(theta) - u^T theta, evaluated under beta = theta + u.
 
     Nonnegative for every (theta, u); +inf when u is conjugate-infeasible
     or theta falls outside an indicator set.
     """
-    theta = np.asarray(theta, dtype=float)
-    u = np.asarray(u, dtype=float)
+    theta, u = _vectors(theta, u)
     if theta.shape != u.shape:
         raise DimensionError("theta and u differ in shape")
-    conj = conjugate_value(spec, u)
-    if np.isinf(conj):
-        return np.inf
-    val = penalty_value(spec, theta)
-    if np.isinf(val):
-        return np.inf
-    return conj + val - float(np.sum(u * theta))
+    inner = np.sum(u * theta, axis=domain_axes(spec))
+    return _result(conjugate_value(spec, u) + penalty_value(spec, theta) - inner)
 
 
 def proximal_duality_gap(spec, z, u, beta):
@@ -89,14 +96,10 @@ def proximal_duality_gap(spec, z, u, beta):
     Equals fenchel_young_gap plus 0.5 * ||beta - z - u||^2; the quadratic
     term vanishes under the identification beta = z + u.
     """
-    z = np.asarray(z, dtype=float)
-    u = np.asarray(u, dtype=float)
-    beta = np.asarray(beta, dtype=float)
-    base = fenchel_young_gap(spec, z, u)
-    if np.isinf(base):
-        return np.inf
+    z, u, beta = _vectors(z, u, beta)
     slack = beta - z - u
-    return base + 0.5 * float(np.sum(slack * slack))
+    quad = 0.5 * np.sum(slack * slack, axis=domain_axes(spec))
+    return _result(fenchel_young_gap(spec, z, u) + quad)
 
 
 def l1_gap(lam, theta, u):
@@ -106,17 +109,27 @@ def l1_gap(lam, theta, u):
     coordinates with theta_j exactly zero accept any feasible u_j (they
     contribute nothing).  Returns +inf when either condition fails.
     """
-    theta = np.asarray(theta, dtype=float).ravel()
-    u = np.asarray(u, dtype=float).ravel()
+    theta, u = _vectors(theta, u)
     if theta.shape != u.shape:
         raise DimensionError("theta and u differ in shape")
-    if lam < 0:
-        raise ValueError("lam must be nonnegative")
-    if u.size and np.max(np.abs(u)) > lam:
-        return np.inf
-    if np.any((theta != 0.0) & (u * theta < 0.0)):
-        return np.inf
-    return float(np.sum((lam - np.abs(u)) * np.abs(theta)))
+    lam = _case_param(lam, "lam")
+    _check_cases(theta.shape[:-1], lam)
+    lam = _per_entry(lam)
+    infeasible = np.any(np.abs(u) > lam, axis=-1) | np.any(
+        (theta != 0.0) & (u * theta < 0.0), axis=-1
+    )
+    gap = np.sum((lam - np.abs(u)) * np.abs(theta), axis=-1)
+    return _result(np.where(infeasible, np.inf, gap))
+
+
+def _contrasts(D, theta, u):
+    """D as a matrix and D theta for each case, after the shape checks."""
+    D = np.atleast_2d(np.asarray(D, dtype=float))
+    if theta.shape[-1] != D.shape[1]:
+        raise DimensionError("theta does not match the columns of D")
+    if u.shape[-1] != D.shape[0]:
+        raise DimensionError("u does not match the rows of D")
+    return D, _matvec(D, theta)
 
 
 def generalized_l1_gap(D, lam, theta, u):
@@ -125,14 +138,8 @@ def generalized_l1_gap(D, lam, theta, u):
     The dual point u lives in the contrast space (one entry per row of D);
     sign convention and feasibility mirror l1_gap, applied to D theta.
     """
-    D = np.atleast_2d(np.asarray(D, dtype=float))
-    theta = np.asarray(theta, dtype=float).ravel()
-    u = np.asarray(u, dtype=float).ravel()
-    if theta.size != D.shape[1]:
-        raise DimensionError("theta does not match the columns of D")
-    if u.size != D.shape[0]:
-        raise DimensionError("u does not match the rows of D")
-    return l1_gap(lam, D @ theta, u)
+    theta, u = _vectors(theta, u)
+    return l1_gap(lam, _contrasts(D, theta, u)[1], u)
 
 
 def generalized_l1_duality_gap(D, lam, z, u, beta):
@@ -141,19 +148,18 @@ def generalized_l1_duality_gap(D, lam, z, u, beta):
     lam ||Dz||_1 - u^T Dz + 0.5 ||z - (beta - D^T u)||^2 for ||u||_inf <= lam,
     +inf otherwise.  No sign convention: valid for every feasible u.
     """
-    D = np.atleast_2d(np.asarray(D, dtype=float))
-    z = np.asarray(z, dtype=float).ravel()
-    u = np.asarray(u, dtype=float).ravel()
-    beta = np.asarray(beta, dtype=float).ravel()
-    if u.size and np.max(np.abs(u)) > lam:
-        return np.inf
-    d = D @ z
-    slack = z - (beta - D.T @ u)
-    return (
-        lam * float(np.sum(np.abs(d)))
-        - float(u @ d)
-        + 0.5 * float(slack @ slack)
+    z, u, beta = _vectors(z, u, beta)
+    D, d = _contrasts(D, z, u)
+    lam = _case_param(lam, "lam")
+    _check_cases(z.shape[:-1], lam)
+    infeasible = np.any(np.abs(u) > _per_entry(lam), axis=-1)
+    slack = z - (beta - _matvec(D.T, u))
+    gap = (
+        lam * np.sum(np.abs(d), axis=-1)
+        - _dot(u, d)
+        + 0.5 * _dot(slack, slack)
     )
+    return _result(np.where(infeasible, np.inf, gap))
 
 
 def kl_gap(beta, z, u, c0="free"):
@@ -165,34 +171,33 @@ def kl_gap(beta, z, u, c0="free"):
     """
     beta = as_simplex(beta)
     z = as_simplex(z)
-    u = np.asarray(u, dtype=float).ravel()
+    (u,) = _vectors(u)
     if not (beta.shape == z.shape == u.shape):
         raise DimensionError("beta, z, u differ in shape")
     if np.any(beta <= 0.0):
         raise ValueError("beta must be strictly positive")
 
     if c0 == "free":
-        sigma = 0.0 if not np.any(u) else np.inf
+        sigma = np.where(np.any(u != 0.0, axis=-1), np.inf, 0.0)
         inside = True
     elif isinstance(c0, Halfspace):
         sigma = halfspace_support(c0, u)
-        inside = float(c0.a @ z) <= c0.b + 1e-10
+        inside = _dot(c0.a, z) <= c0.b + 1e-10
     elif isinstance(c0, (NormBall, GroupL2)):
         sigma = support_function(c0, u)
         inside = np.isfinite(penalty_value(c0, z))
     else:
         raise UnsupportedPenaltyError(f"unsupported constraint set {c0!r}")
 
-    if not inside or np.isinf(sigma):
-        return np.inf
-
-    mask = z > 0.0
-    kl = float(np.sum(z[mask] * np.log(z[mask] / beta[mask])))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = z * np.log(z / beta)
+    kl = np.sum(np.where(z > 0.0, terms, 0.0), axis=-1)
     # log-sum-exp of log(beta_j) - u_j, stabilized
     a = np.log(beta) - u
-    amax = float(np.max(a))
-    lse = amax + float(np.log(np.sum(np.exp(a - amax))))
-    return kl + lse + sigma
+    amax = np.max(a, axis=-1, keepdims=True)
+    lse = amax[..., 0] + np.log(np.sum(np.exp(a - amax), axis=-1))
+    gap = np.where(inside & np.isfinite(sigma), kl + lse + sigma, np.inf)
+    return _result(gap)
 
 
 def variational_additive_gap(parts, z, v, beta, tol=1e-10):
@@ -200,35 +205,25 @@ def variational_additive_gap(parts, z, v, beta, tol=1e-10):
 
     parts are summand penalties with tractable conjugates; v holds one dual
     point per part.  Requires z = beta - sum_j v_j to per-coordinate
-    tolerance (the splitting identity); dominates the Fenchel-Young gap of
-    the Sum penalty at u = sum_j v_j.
+    tolerance (the splitting identity), in every case of a stack; dominates
+    the Fenchel-Young gap of the Sum penalty at u = sum_j v_j.
     """
-    z = np.asarray(z, dtype=float)
-    beta = np.asarray(beta, dtype=float)
+    z, beta = _vectors(z, beta)
     vs = [np.asarray(vj, dtype=float) for vj in v]
     if len(vs) != len(parts):
         raise DimensionError("one dual point per part required")
-    v_total = np.zeros_like(z)
-    for vj in vs:
-        if vj.shape != z.shape:
-            raise DimensionError("dual point shape mismatch")
-        v_total = v_total + vj
-    slack = beta - v_total - z
-    if np.max(np.abs(slack), initial=0.0) > tol:
+    if any(vj.shape != z.shape for vj in vs):
+        raise DimensionError("dual point shape mismatch")
+    v_total = sum(vs, np.zeros_like(z))
+    deviation = np.max(np.abs(beta - v_total - z), initial=0.0)
+    if deviation > tol:
         raise ContractViolationError(
             f"z != beta - sum(v) beyond tolerance {tol:g} "
-            f"(max deviation {np.max(np.abs(slack)):.3e})"
+            f"(max deviation {deviation:.3e})"
         )
-    total = 0.0
-    for part, vj in zip(parts, vs):
-        c = conjugate_value(part, vj)
-        if np.isinf(c):
-            return np.inf
-        total += c
+    conj = sum(conjugate_value(part, vj) for part, vj in zip(parts, vs))
     g = penalty_value(Sum(tuple(parts)), z)
-    if np.isinf(g):
-        return np.inf
-    return total + g - float(np.sum(v_total * z))
+    return _result(conj + g - np.sum(v_total * z, axis=-1))
 
 
 def variational_nuclear_gap(A, B, u, lam1, lam2):
@@ -264,38 +259,3 @@ def variational_nuclear_gap(A, B, u, lam1, lam2):
         + lam2 * float(np.sum(np.abs(theta)))
         - float(np.sum(V * theta))
     )
-
-
-def strong_convexity_radius(gap, mu):
-    """Distance bound sqrt(2 * gap / mu) from a mu-strongly-convex loss.
-
-    For proximal mappings mu = 1.  A gap more negative than -1e-12 means
-    the caller fed an invalid pair and is rejected.
-    """
-    if mu <= 0:
-        raise ValueError("mu must be positive")
-    if gap < -1e-12:
-        raise ContractViolationError(f"negative gap {gap:.3e}")
-    return float(np.sqrt(2.0 * max(gap, 0.0) / mu))
-
-
-def hessian_block(spec, theta, u, alpha):
-    """Primal-dual curvature block of the gap term for a smooth penalty.
-
-    Returns (H, min_eigenvalue) with H = alpha * [[H_g, -I], [-I, H_g*]],
-    the Hessian contribution of alpha * (g(theta) + g*(u) - u^T theta).
-    Near the optimum H_g(theta) H_g*(u) approaches I and the block becomes
-    singular, which is the near-degeneracy this diagnostic surfaces.
-    Only twice-differentiable penalties (Quadratic) are supported.
-    """
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    if not isinstance(spec, Quadratic):
-        raise UnsupportedPenaltyError("hessian_block needs a smooth penalty")
-    p = spec.Q.shape[0]
-    eye = np.eye(p)
-    hess_conj = np.linalg.inv(spec.Q)
-    top = np.hstack([spec.Q, -eye])
-    bottom = np.hstack([-eye, hess_conj])
-    block = alpha * np.vstack([top, bottom])
-    return block, float(np.linalg.eigvalsh(block)[0])

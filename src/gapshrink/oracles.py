@@ -8,7 +8,6 @@ sampler runs without an inner optimizer.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +26,11 @@ from .penalties import (
     NormBall,
     Quadratic,
     Sum,
+    _case_param,
+    _check_cases,
+    _dot,
+    _matvec,
+    _per_entry,
 )
 
 __all__ = [
@@ -58,26 +62,134 @@ class OracleResult:
 def soft_threshold(beta, lam):
     """Elementwise sign(beta) * (|beta| - lam)_+, the l1 proximal mapping."""
     beta = np.asarray(beta, dtype=float)
-    if lam < 0:
-        raise ValueError("lam must be nonnegative")
-    return np.sign(beta) * np.maximum(np.abs(beta) - lam, 0.0)
+    lam = _case_param(lam, "lam")
+    _check_cases(beta.shape[:-1], lam)
+    return np.sign(beta) * np.maximum(np.abs(beta) - _per_entry(lam), 0.0)
 
 
 def project_l1_ball(beta, r):
     """Euclidean projection onto {z : ||z||_1 <= r} by sort and threshold."""
     beta = np.asarray(beta, dtype=float)
-    if r <= 0:
+    r = float(r) if np.ndim(r) == 0 else np.asarray(r, dtype=float)
+    if np.any(r <= 0):
         raise ValueError("radius must be positive")
+    _check_cases(beta.shape[:-1], r)
+    r = _per_entry(r)
     a = np.abs(beta)
-    if a.sum() <= r:
-        return beta.copy()
     # descending sort; ties broken by index order, result is tie-invariant
-    s = np.sort(a)[::-1]
-    css = np.cumsum(s)
-    j = np.arange(1, a.size + 1)
-    rho = np.max(np.nonzero(s - (css - r) / j > 0)[0]) + 1
-    tau = (css[rho - 1] - r) / rho
-    return np.sign(beta) * np.maximum(a - tau, 0.0)
+    s = np.flip(np.sort(a, axis=-1), axis=-1)
+    css = np.cumsum(s, axis=-1)
+    j = np.arange(1, a.shape[-1] + 1)
+    # rho is the last j with s_j > (css_j - r) / j; j = 1 always qualifies
+    above = s - (css - r) / j > 0
+    rho = a.shape[-1] - np.argmax(np.flip(above, axis=-1), axis=-1)[..., None]
+    tau = (np.take_along_axis(css, rho - 1, axis=-1) - r) / rho
+    projected = np.sign(beta) * np.maximum(a - tau, 0.0)
+    return np.where(np.sum(a, axis=-1, keepdims=True) <= r, beta, projected)
+
+
+def _fused_admm(beta, D, lam, tol=1e-8, max_iter=100_000):
+    """The ADMM behind prox_fused, on a stack of cases sharing D.
+
+    Returns (solution, objective, iterations, residual, dual) over the case
+    axes; solution and dual keep their entry axis.  Each case runs its own
+    penalty parameter, rebalancing and exit test, so it takes the steps a
+    solve of that case alone takes; a case leaves the working set once it
+    exits.  lam = 0 cases return beta after 0 iterations.
+    """
+    beta = np.atleast_1d(np.asarray(beta, dtype=float))
+    D = np.atleast_2d(np.asarray(D, dtype=float))
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    lam = _case_param(lam, "lam")
+    d, p = D.shape
+    if p != beta.shape[-1]:
+        raise DimensionError(
+            f"D has {p} columns but beta has {beta.shape[-1]} entries"
+        )
+    cases = beta.shape[:-1]
+    _check_cases(cases, lam)
+    b_all = beta.reshape(-1, p)
+    lam_all = np.broadcast_to(lam, cases).reshape(-1)
+    k = b_all.shape[0]
+    z_out = b_all.copy()
+    u_out = np.zeros((k, d))
+    it_out = np.zeros(k, dtype=int)
+    res_out = np.zeros(k)
+    obj_out = np.zeros(k)
+
+    Dt = D.T
+    DtD = Dt @ D
+    eye = np.eye(p)
+
+    def factor(rho, b):
+        # z = inv (beta + rho D'(w - y)) = z_beta + G (w - y)
+        inv = np.linalg.inv(eye + rho[:, None, None] * DtD)
+        return _matvec(inv, b), rho[:, None, None] * (inv @ Dt)
+
+    idx = np.flatnonzero(lam_all > 0.0)
+    b, lam = b_all[idx], lam_all[idx]
+    rho = np.ones(idx.size)
+    z_beta, G = factor(rho, b)
+    w = _matvec(D, b)
+    y = np.zeros((idx.size, d))
+    res = np.full(idx.size, np.inf)
+    for it in range(1, max_iter + 1):
+        if idx.size == 0:
+            break
+        z = z_beta + _matvec(G, w - y)
+        Dz = _matvec(D, z)
+        w_old = w
+        arg = Dz + y
+        w = np.sign(arg) * np.maximum(np.abs(arg) - (lam / rho)[:, None], 0.0)
+        y = y + Dz - w
+        r = Dz - w
+        s = _matvec(Dt, w - w_old)
+        r_primal = np.sqrt(_dot(r, r))
+        r_dual = rho * np.sqrt(_dot(s, s))
+        res = np.maximum(r_primal, r_dual)
+        # exit once the residuals meet tol and so does the gap certificate
+        u = np.clip(rho[:, None] * y, -lam[:, None], lam[:, None])
+        cert = np.sum((lam[:, None] - np.abs(u)) * np.abs(Dz), axis=-1)
+        done = (res <= tol) & (cert <= 5.0 * tol)
+        if done.any():
+            j, u, Dz, z = idx[done], u[done], Dz[done], z[done]
+            # sign-align the certificate with every nonzero contrast (fused
+            # contrasts converge to ~0 but not exactly); the gap value only
+            # sees |u|, so alignment never weakens the certificate
+            u_out[j] = np.where(Dz != 0.0, np.sign(Dz) * np.abs(u), u)
+            z_out[j] = z
+            it_out[j] = it
+            res_out[j] = res[done]
+            obj_out[j] = 0.5 * np.sum((z - b[done]) ** 2, axis=-1) + lam[
+                done
+            ] * np.sum(np.abs(Dz), axis=-1)
+            keep = ~done
+            idx, b, lam, rho, z_beta, G, w, y, r_primal, r_dual, res = (
+                x[keep]
+                for x in (idx, b, lam, rho, z_beta, G, w, y, r_primal, r_dual, res)
+            )
+        up = r_primal > 10.0 * r_dual
+        down = ~up & (r_dual > 10.0 * r_primal)
+        if up.any() or down.any():
+            rho = np.where(up, 2.0 * rho, np.where(down, rho / 2.0, rho))
+            y = np.where(up[:, None], y / 2.0, np.where(down[:, None], 2.0 * y, y))
+            moved = up | down
+            z_beta[moved], G[moved] = factor(rho[moved], b[moved])
+    if idx.size:
+        raise ConvergenceError(
+            f"ADMM did not reach tol={tol:g} in {max_iter} iterations "
+            f"on {idx.size} of {k} cases",
+            residual=float(np.max(res)),
+            iterations=max_iter,
+        )
+    return (
+        z_out.reshape(beta.shape),
+        obj_out.reshape(cases),
+        it_out.reshape(cases),
+        res_out.reshape(cases),
+        u_out.reshape(cases + (d,)),
+    )
 
 
 def prox_fused(beta, D, lam, tol=1e-8, max_iter=100_000):
@@ -92,91 +204,33 @@ def prox_fused(beta, D, lam, tol=1e-8, max_iter=100_000):
 
     The returned dual lives in the contrast space, clipped to [-lam, lam]
     and sign-aligned with D z so the gap certificate is exactly feasible.
+    A stack of cases (leading axes of beta, with lam a float or one value
+    per case) gives arrays over the cases in every field.
     """
-    beta = np.asarray(beta, dtype=float).ravel()
-    D = np.atleast_2d(np.asarray(D, dtype=float))
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    if lam < 0:
-        raise ValueError("lam must be nonnegative")
-    if D.shape[1] != beta.size:
-        raise DimensionError(
-            f"D has {D.shape[1]} columns but beta has {beta.size} entries"
-        )
-    if lam == 0.0:
-        return OracleResult(beta.copy(), 0.0, 0, 0.0, np.zeros(D.shape[0]))
-
-    p = beta.size
-    d = D.shape[0]
-    rho = 1.0
-    Dt = D.T
-    DtD = Dt @ D
-    eye = np.eye(p)
-
-    def factor(rho):
-        # z = inv (beta + rho D'(w - y)) = z_beta + G (w - y)
-        inv = np.linalg.inv(eye + rho * DtD)
-        return inv @ beta, rho * (inv @ Dt)
-
-    z_beta, G = factor(rho)
-    z = beta.copy()
-    w = D @ z
-    y = np.zeros(d)
-
-    res = np.inf
-    for it in range(1, max_iter + 1):
-        z = z_beta + G @ (w - y)
-        Dz = D @ z
-        w_old = w
-        arg = Dz + y
-        w = np.sign(arg) * np.maximum(np.abs(arg) - lam / rho, 0.0)
-        y = y + Dz - w
-        r = Dz - w
-        s = Dt @ (w - w_old)
-        r_primal = math.sqrt(r @ r)
-        r_dual = rho * math.sqrt(s @ s)
-        res = max(r_primal, r_dual)
-        if res <= tol:
-            # also require the gap certificate promised at exit
-            u_try = np.clip(rho * y, -lam, lam)
-            cert = float(np.sum((lam - np.abs(u_try)) * np.abs(Dz)))
-            if cert <= 5.0 * tol:
-                break
-        if r_primal > 10.0 * r_dual:
-            rho *= 2.0
-            y /= 2.0
-            z_beta, G = factor(rho)
-        elif r_dual > 10.0 * r_primal:
-            rho /= 2.0
-            y *= 2.0
-            z_beta, G = factor(rho)
-    else:
-        raise ConvergenceError(
-            f"ADMM did not reach tol={tol:g} in {max_iter} iterations",
-            residual=res,
-            iterations=max_iter,
-        )
-
-    u = np.clip(rho * y, -lam, lam)
-    Dz = D @ z
-    # sign-align the certificate with every nonzero contrast (fused
-    # contrasts converge to ~0 but not exactly); the gap value only sees
-    # |u|, so alignment never weakens the certificate
-    nonzero = Dz != 0.0
-    u[nonzero] = np.sign(Dz[nonzero]) * np.abs(u[nonzero])
-    objective = 0.5 * float(np.sum((z - beta) ** 2)) + lam * float(
-        np.sum(np.abs(Dz))
+    z, objective, iterations, residual, dual = _fused_admm(
+        beta, D, lam, tol, max_iter
     )
-    return OracleResult(z, objective, it, res, u)
+    if iterations.ndim == 0:
+        return OracleResult(z, float(objective), int(iterations), float(residual), dual)
+    return OracleResult(z, objective, iterations, residual, dual)
 
 
 def svt(beta, lam):
     """Singular-value soft-thresholding, the nuclear-norm proximal mapping."""
     beta = np.atleast_2d(np.asarray(beta, dtype=float))
-    if lam < 0:
-        raise ValueError("lam must be nonnegative")
+    lam = _case_param(lam, "lam")
+    _check_cases(beta.shape[:-2], lam)
     U, s, Vt = np.linalg.svd(beta, full_matrices=False)
-    return (U * np.maximum(s - lam, 0.0)) @ Vt
+    s = np.maximum(s - _per_entry(lam), 0.0)
+    return (U * s[..., None, :]) @ Vt
+
+
+def _tilt(log_beta, a, nu):
+    """Rows of the exponential tilt beta * exp(-nu a), normalized."""
+    logz = log_beta - nu[:, None] * a
+    logz -= np.max(logz, axis=-1, keepdims=True)
+    z = np.exp(logz)
+    return z / np.sum(z, axis=-1, keepdims=True)
 
 
 def kl_project(beta, a, b, tol=1e-12, max_iter=200):
@@ -191,70 +245,87 @@ def kl_project(beta, a, b, tol=1e-12, max_iter=200):
     side (h <= 1e-12), or, when float resolution keeps the residual above
     tol, once the bracket has shrunk to adjacent floats (the feasible end
     is returned).  Raises ConvergenceError after max_iter steps.
+
+    A stack of cases (leading axes of beta and a, b one value per case)
+    runs every case's search side by side and returns one SimplexPoint
+    holding the stack.
     """
     beta = as_simplex(beta)
     if np.any(beta <= 0.0):
         raise ValueError("beta must be strictly positive")
-    a = np.asarray(a, dtype=float).ravel()
-    b = float(b)
+    a = np.atleast_1d(np.asarray(a, dtype=float))
+    b = np.asarray(b, dtype=float)
     if a.shape != beta.shape:
         raise ValueError("constraint vector does not match beta")
-    log_beta = np.log(beta)
-
-    def tilt(nu):
-        logz = log_beta - nu * a
-        logz -= np.max(logz)
-        z = np.exp(logz)
-        return z / z.sum()
-
-    if float(a @ beta) <= b:
-        return SimplexPoint(beta.copy())
+    cases, p = beta.shape[:-1], beta.shape[-1]
+    _check_cases(cases, b)
+    out = beta.reshape(-1, p).copy()
+    b = np.broadcast_to(b, cases).reshape(-1)
+    a = a.reshape(-1, p)
+    # the active cases; an inactive constraint leaves beta where it is
+    idx = np.flatnonzero(_dot(a, out) > b)
+    a, b, log_beta = a[idx], b[idx], np.log(out[idx])
 
     # a^T tilt(nu) decreases to min(a_j); below that the set is empty
-    if b < float(np.min(a)) - 1e-14:
+    amin = np.min(a, axis=-1, initial=np.inf)
+    empty = b < amin - 1e-14
+    if empty.any():
         raise InfeasibleError(
-            f"halfspace a^T z <= {b:g} misses the simplex (min a = {np.min(a):g})"
+            f"halfspace a^T z <= {b[empty][0]:g} misses the simplex "
+            f"(min a = {amin[empty][0]:g})"
         )
 
-    lo, hi = 0.0, 1.0
+    hi = np.ones(idx.size)
+    z = np.empty((idx.size, p))
+    run = np.arange(idx.size)
     for _ in range(200):
-        z = tilt(hi)
-        if float(a @ z) <= b:
+        z[run] = _tilt(log_beta[run], a[run], hi[run])
+        run = run[_dot(a[run], z[run]) > b[run]]
+        if run.size == 0:
             break
-        hi *= 2.0
+        hi[run] *= 2.0
     else:
         raise InfeasibleError("constraint not attainable by exponential tilt")
 
-    nu = hi
+    lo = np.zeros(idx.size)
+    nu = hi.copy()
+    residual = np.full(idx.size, np.inf)
+    run = np.arange(idx.size)
     for _ in range(max_iter):
-        az = float(a @ z)
-        h = az - b
-        residual = abs(nu * h)
-        if residual <= tol and h <= 1e-12:
-            return SimplexPoint(z)
-        if h > 0:
-            lo = nu
-        else:
-            hi = nu
+        az = _dot(a[run], z[run])
+        h = az - b[run]
+        residual[run] = np.abs(nu[run] * h)
+        met = (residual[run] <= tol) & (h <= 1e-12)
+        out[idx[run[met]]] = z[run[met]]
+        run, az, h = run[~met], az[~met], h[~met]
+        if run.size == 0:
+            break
+        lo[run] = np.where(h > 0, nu[run], lo[run])
+        hi[run] = np.where(h > 0, hi[run], nu[run])
         # Newton step on h, whose slope is -Var_z(a); a flat h gives no
         # step, and a step outside (lo, hi) bisects instead
-        c = a - az
-        var = float(z @ (c * c))
-        newton = nu + h / var if var > 0.0 else hi
-        if lo < newton < hi:
-            nu = newton
-        else:
-            nu = 0.5 * (lo + hi)
-            if not lo < nu < hi:
-                # lo and hi are adjacent floats: |nu * h| <= tol is out of
-                # reach, and hi is the feasible end
-                return SimplexPoint(tilt(hi))
-        z = tilt(nu)
-    raise ConvergenceError(
-        f"KL projection did not reach tol={tol:g} in {max_iter} steps",
-        residual=residual,
-        iterations=max_iter,
-    )
+        c = a[run] - az[:, None]
+        var = _dot(z[run], c * c)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            newton = np.where(var > 0.0, nu[run] + h / var, hi[run])
+        l, u = lo[run], hi[run]
+        step = (l < newton) & (newton < u)
+        mid = 0.5 * (l + u)
+        # where lo and hi are adjacent floats, |nu * h| <= tol is out of
+        # reach, and hi is the feasible end
+        stuck = ~step & ~((l < mid) & (mid < u))
+        done = run[stuck]
+        out[idx[done]] = _tilt(log_beta[done], a[done], hi[done])
+        nu[run] = np.where(step, newton, mid)
+        run = run[~stuck]
+        z[run] = _tilt(log_beta[run], a[run], nu[run])
+    if run.size:
+        raise ConvergenceError(
+            f"KL projection did not reach tol={tol:g} in {max_iter} steps",
+            residual=float(np.max(residual[run])),
+            iterations=max_iter,
+        )
+    return SimplexPoint(out.reshape(beta.shape))
 
 
 _GRID_SUPPORTED = (L1, GeneralizedL1, NormBall, GroupL2, Quadratic, Sum)

@@ -16,6 +16,7 @@ from gapshrink.certify import (
     check_theorem1,
     check_theorem2,
     check_zero_gap,
+    run_gap_check,
 )
 from gapshrink.datasets import gen_sparse_regression
 from gapshrink.diagnostics import acf, ess
@@ -107,6 +108,23 @@ class TestCriterion4ZeroGap:
             f"closed-form {res['worst_closed_form']:.2e}, "
             f"ADMM {res['worst_admm']:.2e} (cap {10 * admm_tol:.0e})",
         )
+
+
+class TestGapCheckSeedScan:
+    def test_full_gap_check_on_fifty_seeds(self):
+        # every gap-check seed redraws all four suites, so a rare case that
+        # raises or breaks a bound shows up as the seeds run on
+        limits = THRESHOLDS["gap_check"]
+        cases = {"nonnegativity": 10_000, "theorem1": 1000, "theorem2": 1000,
+                 "zero_gap": 1000}
+        kinds = {"l1", "gen_l1", "ball", "group", "quad", "nuclear", "sum", "kl"}
+        for seed in range(50):
+            res = run_gap_check(limits, seed)
+            assert res["passed"], f"seed {seed}: {res}"
+            assert {k: res[k]["cases"] for k in cases} == cases, f"seed {seed}"
+            per_kind = res["nonnegativity"]["per_kind"]
+            assert set(per_kind) == kinds, f"seed {seed}: {sorted(per_kind)}"
+            assert min(per_kind.values()) >= limits["min_gap"], f"seed {seed}: {per_kind}"
 
 
 @pytest.fixture(scope="module")

@@ -6,17 +6,16 @@ from gapshrink.errors import ContractViolationError, DimensionError
 from gapshrink.gaps import (
     SimplexPoint,
     fenchel_young_gap,
+    generalized_l1_duality_gap,
     generalized_l1_gap,
-    hessian_block,
     kl_gap,
     l1_gap,
     proximal_duality_gap,
-    strong_convexity_radius,
     variational_additive_gap,
     variational_nuclear_gap,
 )
 from gapshrink.oracles import kl_project, prox_fused, soft_threshold, svt
-from gapshrink.penalties import Halfspace, L1, NormBall, Nuclear, Quadratic
+from gapshrink.penalties import GroupL2, Halfspace, L1, NormBall, Nuclear, Quadratic
 
 finite = st.floats(-5, 5, allow_nan=False)
 
@@ -279,7 +278,8 @@ class TestTheoremBounds:
             z = zhat + rng.normal(0, 0.4, 6)
             u = np.clip(beta - zhat + rng.normal(0, 0.3, 6), -lam, lam)
             gap = proximal_duality_gap(L1(lam), z, u, beta)
-            assert np.linalg.norm(z - zhat) <= strong_convexity_radius(gap, 1.0) + 1e-8
+            assert gap >= 0.0
+            assert np.linalg.norm(z - zhat) <= np.sqrt(2.0 * gap) + 1e-8
 
     def test_kl_bound(self):
         rng = np.random.default_rng(5)
@@ -299,32 +299,177 @@ class TestTheoremBounds:
             assert kl <= gap + 1e-8
 
 
-class TestStrongConvexityRadius:
-    def test_values(self):
-        assert strong_convexity_radius(2.0, 1.0) == pytest.approx(2.0)
-        assert strong_convexity_radius(0.0, 5.0) == 0.0
-        assert strong_convexity_radius(0.125, 0.25) == pytest.approx(1.0)
+N_STACK = 50
+CHAIN4 = np.diff(np.eye(4), axis=0) * -1.0
 
-    def test_negative_gap_rejected(self):
+
+def _scaled_duals(rng, n, lam, shape):
+    """Matrices with operator norm lam times a 0.5-1.5 factor: about half
+    lie outside the nuclear conjugate's domain."""
+    u = rng.normal(0, 1, (n,) + shape)
+    top = np.linalg.svd(u, compute_uv=False)[:, 0]
+    return u * (lam * rng.uniform(0.5, 1.5, n) / top)[:, None, None]
+
+
+def _kl_cases(rng, n):
+    beta = rng.dirichlet(np.ones(4), n)
+    z = rng.dirichlet(np.ones(4), n)
+    a = rng.normal(0, 1, (n, 4))
+    # about a fifth of the points outside the halfspace, and a fifth of
+    # the duals off the normal cone
+    b = np.sum(a * z, axis=-1) + rng.uniform(-0.3, 1.0, n)
+    u = rng.uniform(0, 2, n)[:, None] * a
+    u[rng.uniform(size=n) < 0.2] += rng.normal(0, 0.1, 4)
+    return beta, z, u, a, b
+
+
+# Each gap kind the certification suites evaluate, as (gap of a case or a
+# stack, draw of N_STACK cases along the leading axis).  The draws include
+# infeasible cases.
+STACK_KINDS = {
+    "l1": (
+        lambda lam, theta, u: fenchel_young_gap(L1(lam), theta, u),
+        lambda rng, n: (
+            lam := rng.uniform(0.2, 2.5, n),
+            rng.normal(0, 2, (n, 4)),
+            rng.uniform(-1.2, 1.2, (n, 4)) * lam[:, None],
+        ),
+    ),
+    "l1_gap": (
+        l1_gap,
+        lambda rng, n: (
+            lam := rng.uniform(0.2, 2.5, n),
+            theta := rng.normal(0, 2, (n, 4)) * (rng.uniform(size=(n, 4)) < 0.7),
+            np.sign(theta + 1e-3) * rng.uniform(-0.1, 1.05, (n, 4)) * lam[:, None],
+        ),
+    ),
+    "proximal": (
+        lambda lam, z, u, beta: proximal_duality_gap(L1(lam), z, u, beta),
+        lambda rng, n: (
+            lam := rng.uniform(0.2, 2.5, n),
+            rng.normal(0, 2, (n, 4)),
+            rng.uniform(-1.1, 1.1, (n, 4)) * lam[:, None],
+            rng.normal(0, 2, (n, 4)),
+        ),
+    ),
+    "gen_l1": (
+        lambda lam, z, u, beta: generalized_l1_duality_gap(CHAIN4, lam, z, u, beta),
+        lambda rng, n: (
+            lam := rng.uniform(0.2, 2.5, n),
+            rng.normal(0, 2, (n, 4)),
+            rng.uniform(-1.1, 1.1, (n, 3)) * lam[:, None],
+            rng.normal(0, 2, (n, 4)),
+        ),
+    ),
+    "gen_l1_gap": (
+        lambda lam, theta, u: generalized_l1_gap(CHAIN4, lam, theta, u),
+        lambda rng, n: (
+            lam := rng.uniform(0.2, 2.5, n),
+            theta := rng.normal(0, 2, (n, 4)),
+            np.sign(theta @ CHAIN4.T) * rng.uniform(-0.1, 1.05, (n, 3)) * lam[:, None],
+        ),
+    ),
+    **{
+        f"ball_{tag}": (
+            lambda r, theta, u, tag=tag: fenchel_young_gap(NormBall(tag, r), theta, u),
+            lambda rng, n: (
+                rng.uniform(0.5, 2.5, n),
+                rng.normal(0, 0.6, (n, 4)),
+                rng.normal(0, 2, (n, 4)),
+            ),
+        )
+        for tag in ("l1", "l2", "linf")
+    },
+    "group": (
+        lambda r1, r2, theta, u: fenchel_young_gap(
+            GroupL2(((0, 1), (2, 3)), (r1, r2)), theta, u
+        ),
+        lambda rng, n: (
+            rng.uniform(0.5, 2.5, n),
+            rng.uniform(0.5, 2.5, n),
+            rng.normal(0, 1, (n, 4)),
+            rng.normal(0, 2, (n, 4)),
+        ),
+    ),
+    "quad": (
+        lambda Q, theta, u: fenchel_young_gap(Quadratic(Q), theta, u),
+        lambda rng, n: (
+            (M := rng.normal(0, 1, (n, 4, 4))) @ np.swapaxes(M, -1, -2)
+            + 0.1 * np.eye(4),
+            rng.normal(0, 2, (n, 4)),
+            rng.normal(0, 2, (n, 4)),
+        ),
+    ),
+    "nuclear": (
+        lambda lam, theta, u: fenchel_young_gap(Nuclear(lam, (3, 2)), theta, u),
+        lambda rng, n: (
+            lam := rng.uniform(0.2, 2.5, n),
+            rng.normal(0, 1, (n, 3, 2)),
+            _scaled_duals(rng, n, lam, (3, 2)),
+        ),
+    ),
+    "sum": (
+        lambda r1, r2, theta, v1, v2: variational_additive_gap(
+            [NormBall("l1", r1), NormBall("linf", r2)],
+            theta,
+            [v1, v2],
+            theta + v1 + v2,
+        ),
+        lambda rng, n: (
+            rng.uniform(0.5, 2.5, n),
+            rng.uniform(0.2, 1.0, n),
+            rng.normal(0, 0.3, (n, 4)),
+            rng.normal(0, 1, (n, 4)),
+            rng.normal(0, 1, (n, 4)),
+        ),
+    ),
+    "kl": (
+        lambda beta, z, u, a, b: kl_gap(beta, z, u, Halfspace(a, b)),
+        _kl_cases,
+    ),
+}
+
+
+class TestStacks:
+    """A stack of cases gives what each case gives alone."""
+
+    @pytest.mark.parametrize("kind", sorted(STACK_KINDS))
+    def test_stack_matches_single_cases(self, kind):
+        gap, draw = STACK_KINDS[kind]
+        args = draw(np.random.default_rng(sorted(STACK_KINDS).index(kind)), N_STACK)
+        stacked = gap(*args)
+        single = [gap(*(x[i] for x in args)) for i in range(N_STACK)]
+        assert isinstance(stacked, np.ndarray) and stacked.shape == (N_STACK,)
+        assert all(type(g) is float for g in single)
+        single = np.array(single)
+        finite = np.isfinite(single)
+        np.testing.assert_array_equal(np.isfinite(stacked), finite)
+        assert 0 < finite.sum() < N_STACK or kind == "quad"
+        np.testing.assert_allclose(stacked[finite], single[finite], rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("kind", sorted(STACK_KINDS))
+    def test_parameter_one_case_short_rejected(self, kind):
+        gap, draw = STACK_KINDS[kind]
+        args = list(draw(np.random.default_rng(0), N_STACK))
+        args[0] = args[0][1:]
+        with pytest.raises(DimensionError):
+            gap(*args)
+
+    def test_one_case_off_the_splitting_identity_rejected(self):
+        gap, draw = STACK_KINDS["sum"]
+        r1, r2, theta, v1, v2 = draw(np.random.default_rng(1), N_STACK)
+        beta = theta + v1 + v2
+        beta[17, 2] += 1e-6
         with pytest.raises(ContractViolationError):
-            strong_convexity_radius(-1e-6, 1.0)
+            variational_additive_gap(
+                [NormBall("l1", r1), NormBall("linf", r2)], theta, [v1, v2], beta
+            )
 
-
-class TestHessianBlock:
-    def test_identity_quadratic_is_singular(self):
-        block, mineig = hessian_block(Quadratic(np.eye(2)), None, None, 1.0)
-        np.testing.assert_allclose(block[:2, :2], np.eye(2))
-        np.testing.assert_allclose(block[:2, 2:], -np.eye(2))
-        assert mineig == pytest.approx(0.0, abs=1e-12)
-
-    def test_scaled_quadratic_still_singular(self):
-        _, mineig = hessian_block(Quadratic(2 * np.eye(2)), None, None, 1.0)
-        assert mineig == pytest.approx(0.0, abs=1e-12)
-
-    def test_alpha_scales_block(self):
-        block, mineig = hessian_block(Quadratic(np.eye(2)), None, None, 10.0)
-        assert block[0, 0] == pytest.approx(10.0)
-        assert mineig == pytest.approx(0.0, abs=1e-11)
+    def test_one_case_off_the_simplex_rejected(self):
+        beta, z, u, a, b = _kl_cases(np.random.default_rng(2), N_STACK)
+        z[5] *= 1.01
+        with pytest.raises(ValueError):
+            kl_gap(beta, z, u, Halfspace(a, b))
 
 
 class TestContainers:

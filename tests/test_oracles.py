@@ -260,3 +260,92 @@ class TestBruteForce:
     def test_dimension_cap(self):
         with pytest.raises(UnsupportedPenaltyError):
             brute_force_prox(np.zeros(4), L1(1.0), 11)
+
+
+class TestStacks:
+    """A stack of cases gives what each case gives alone."""
+
+    N = 50
+
+    @staticmethod
+    def agree(stacked, single):
+        np.testing.assert_allclose(stacked, np.array(single), rtol=1e-12, atol=1e-15)
+
+    def test_soft_threshold(self):
+        rng = np.random.default_rng(10)
+        beta = rng.normal(0, 2, (self.N, 5))
+        lam = rng.uniform(0.2, 2.0, self.N)
+        self.agree(soft_threshold(beta, lam),
+                   [soft_threshold(beta[i], lam[i]) for i in range(self.N)])
+
+    def test_project_l1_ball(self):
+        rng = np.random.default_rng(11)
+        beta = rng.normal(0, 2, (self.N, 5))
+        r = rng.uniform(0.5, 12.0, self.N)
+        inside = np.sum(np.abs(beta), axis=-1) <= r
+        assert 0 < inside.sum() < self.N
+        out = project_l1_ball(beta, r)
+        self.agree(out, [project_l1_ball(beta[i], r[i]) for i in range(self.N)])
+        np.testing.assert_array_equal(out[inside], beta[inside])
+
+    def test_svt(self):
+        rng = np.random.default_rng(12)
+        M = rng.normal(0, 1.5, (self.N, 4, 3))
+        lam = rng.uniform(0.2, 3.0, self.N)
+        self.agree(svt(M, lam), [svt(M[i], lam[i]) for i in range(self.N)])
+
+    def test_kl_project(self):
+        rng = np.random.default_rng(13)
+        beta = rng.dirichlet(np.full(5, 1.5), self.N)
+        a = rng.normal(0, 1, (self.N, 5))
+        amin = np.min(a, axis=-1)
+        b = amin + rng.uniform(0.05, 1.4, self.N) * (np.sum(a * beta, axis=-1) - amin)
+        z = kl_project(beta, a, b, tol=1e-13).z
+        self.agree(z, [kl_project(beta[i], a[i], b[i], tol=1e-13).z
+                       for i in range(self.N)])
+        assert np.all(np.sum(a * z, axis=-1) <= b + 1e-12)
+
+    def test_prox_fused(self):
+        rng = np.random.default_rng(14)
+        D = np.diff(np.eye(5), axis=0) * -1.0
+        beta = rng.normal(0, 2, (self.N, 5))
+        lam = rng.uniform(0.1, 1.5, self.N)
+        lam[::10] = 0.0
+        res = prox_fused(beta, D, lam, tol=1e-10)
+        single = [prox_fused(beta[i], D, lam[i], tol=1e-10) for i in range(self.N)]
+        assert all(type(r.iterations) is int for r in single)
+        np.testing.assert_array_equal(res.iterations, [r.iterations for r in single])
+        assert np.all(res.iterations[::10] == 0)
+        for field in ("solution", "objective", "residual", "dual"):
+            self.agree(getattr(res, field), [getattr(r, field) for r in single])
+
+    def test_parameter_one_case_short_rejected(self):
+        rng = np.random.default_rng(15)
+        beta = rng.normal(0, 2, (self.N, 3))
+        short = rng.uniform(0.5, 1.5, self.N - 1)
+        D = np.diff(np.eye(3), axis=0)
+        calls = (
+            lambda: soft_threshold(beta, short),
+            lambda: project_l1_ball(beta, short),
+            lambda: svt(beta.reshape(self.N, 3, 1), short),
+            lambda: prox_fused(beta, D, short),
+            lambda: kl_project(np.full((self.N, 3), 1 / 3), beta, short),
+        )
+        for call in calls:
+            with pytest.raises(DimensionError):
+                call()
+
+    def test_one_infeasible_case_raises(self):
+        beta = np.full((self.N, 2), 0.5)
+        a = np.tile([1.0, 0.0], (self.N, 1))
+        b = np.full(self.N, 0.5)
+        b[7] = -1.0
+        with pytest.raises(InfeasibleError):
+            kl_project(beta, a, b)
+
+    def test_one_case_over_budget_raises(self):
+        beta = np.array([[1.0, 0.0], [5.0, -5.0]])
+        with pytest.raises(ConvergenceError) as err:
+            # the lam = 0 case exits at once; the other needs far more steps
+            prox_fused(beta, np.array([[1.0, -1.0]]), [0.0, 1.0], tol=1e-14, max_iter=3)
+        assert err.value.residual is not None

@@ -142,6 +142,24 @@ class TestOperatorNorm:
         res = check_gap_nonnegativity(10_000, seed=8938848260009)
         assert res["min_gap"] >= -1e-10
 
+    def test_nuclear_dual_scaled_onto_ball_feasible(self):
+        # the matrix on which a power iteration from the ones vector stopped
+        # at 0.826: its top right singular vector is (1, -1)/sqrt(2)
+        M = np.array([[-0.6322, 1.5181], [-1.6308, 0.8686]])
+        assert operator_norm(M) == pytest.approx(2.331, abs=1e-3)
+        lam = 1.7
+        u = M * (lam / operator_norm(M))
+        spec = Nuclear(lam, (2, 2))
+        assert conjugate_value(spec, u) == 0.0
+        assert conjugate_value(spec, 1.01 * u) == np.inf
+        # the same two duals inside a stack of random ones
+        rng = np.random.default_rng(0)
+        stack = rng.normal(0, 0.1, (20, 2, 2))
+        stack[3], stack[11] = u, 1.01 * u
+        out = conjugate_value(Nuclear(np.full(20, lam), (2, 2)), stack)
+        assert out[3] == 0.0 and out[11] == np.inf
+        np.testing.assert_array_equal(np.delete(out, 11), 0.0)
+
 
 class TestValidation:
     def test_negative_scalars_rejected(self):
