@@ -37,9 +37,7 @@ from .oracles import (
     svt,
 )
 from .priors import (
-    BaseKernel,
     EdgeGraph,
-    GapPriorSpec,
     complete_graph,
     log_gap_prior_fused,
     log_gap_prior_l1,

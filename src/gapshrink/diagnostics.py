@@ -1,9 +1,6 @@
-"""Chain-quality diagnostics: autocorrelation, effective sample size and
-posterior summaries."""
+"""Chain-quality diagnostics: autocorrelation and effective sample size."""
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -11,8 +8,6 @@ __all__ = [
     "acf",
     "ess",
     "ess_from_acf",
-    "ChainSummary",
-    "summarize_series",
 ]
 
 # ESS of an antithetic chain exceeds n; estimates are capped at this
@@ -67,55 +62,3 @@ def ess(series):
     value, _ = ess_from_acf(acf(x, n - 1), n)
     return value
 
-
-@dataclass
-class ChainSummary:
-    """Per-parameter posterior summary plus timing."""
-
-    names: list
-    mean: np.ndarray
-    sd: np.ndarray
-    q025: np.ndarray
-    q50: np.ndarray
-    q975: np.ndarray
-    ess: np.ndarray
-    acf: np.ndarray
-    wall_seconds: float = 0.0
-    ess_per_second: np.ndarray = field(default=None)
-
-
-def summarize_series(draws, names, wall_seconds=0.0, max_lag=30):
-    """Column-wise ChainSummary of a draws matrix (rows are iterations)."""
-    draws = np.atleast_2d(np.asarray(draws, dtype=float))
-    n, k = draws.shape
-    max_lag = min(max_lag, n - 1)
-    means = draws.mean(axis=0)
-    sds = draws.std(axis=0, ddof=1)
-    q = np.quantile(draws, [0.025, 0.5, 0.975], axis=0)
-    ess_vals = np.empty(k)
-    acfs = np.empty((k, max_lag + 1))
-    for j in range(k):
-        col = draws[:, j]
-        if col.std() == 0.0:
-            ess_vals[j] = np.nan
-            acfs[j] = np.nan
-            acfs[j, 0] = 1.0
-            continue
-        rho = acf(col, n - 1)
-        acfs[j] = rho[: max_lag + 1]
-        ess_vals[j], _ = ess_from_acf(rho, n)
-    eps = (
-        ess_vals / wall_seconds if wall_seconds > 0 else np.full(k, np.nan)
-    )
-    return ChainSummary(
-        names=list(names),
-        mean=means,
-        sd=sds,
-        q025=q[0],
-        q50=q[1],
-        q975=q[2],
-        ess=ess_vals,
-        acf=acfs,
-        wall_seconds=wall_seconds,
-        ess_per_second=eps,
-    )

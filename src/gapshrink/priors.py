@@ -1,15 +1,17 @@
-"""Unnormalized log-densities of the gap-shrinkage priors.
+"""Unnormalized log-densities of the gap-shrinkage priors of the three
+sampled models, in the samplers' own parameters.
 
 Each prior exponentiates -alpha times a duality gap and multiplies a base
-kernel evaluated at the reconstructed anchor beta.  Densities are always
-unnormalized; the normalizing constant is never computed (it depends on
-hyperparameters, a known doubly-intractable caveat of the hyperparameter
-updates).
+kernel at the reconstructed anchor, fixed by its model: a standard Cauchy
+for the l1 model, and a Gaussian of variance _KERNEL_VAR per entry for the
+matrix-smoothing and fused models.  Densities are always unnormalized; the
+normalizing constant is never computed (it depends on hyperparameters, a
+known doubly-intractable caveat of the hyperparameter updates).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,8 +19,6 @@ from .errors import DimensionError
 from .gaps import l1_gap, variational_nuclear_gap
 
 __all__ = [
-    "BaseKernel",
-    "GapPriorSpec",
     "EdgeGraph",
     "complete_graph",
     "log_gap_prior_l1",
@@ -30,84 +30,55 @@ __all__ = [
     "pairwise_diff_penalty_median_form",
 ]
 
-
-@dataclass
-class BaseKernel:
-    """Base density on the anchor variable: standard Cauchy or Gaussian."""
-
-    kind: str
-    scale: float = 1.0
-
-    def __post_init__(self):
-        if self.kind not in ("cauchy", "gaussian"):
-            raise ValueError("kind must be 'cauchy' or 'gaussian'")
-        if self.kind == "gaussian" and self.scale <= 0:
-            raise ValueError("gaussian kernel needs a positive scale")
-
-    @classmethod
-    def cauchy(cls):
-        return cls("cauchy")
-
-    @classmethod
-    def gaussian(cls, scale):
-        return cls("gaussian", scale)
-
-    def log_density(self, x):
-        """Unnormalized log-density summed over all entries of x."""
-        x = np.asarray(x, dtype=float)
-        if self.kind == "cauchy":
-            return -float(np.sum(np.log1p(x * x)))
-        return -0.5 * float(np.sum(x * x)) / (self.scale**2)
+# variance per entry of the Gaussian base kernel on the anchor, in the
+# matrix-smoothing and fused-probit models
+_KERNEL_VAR = 100.0
 
 
-@dataclass
-class GapPriorSpec:
-    """Shrinkage strength, penalty, base kernel, and named hyperparameters."""
+def _check_alpha(alpha):
+    if not alpha > 0:
+        raise ValueError("alpha must be positive")
 
-    alpha: float
-    kernel: BaseKernel
-    penalty: object = None
-    hyper: dict = field(default_factory=dict)
 
-    def __post_init__(self):
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
-        for name, value in self.hyper.items():
-            if value < 0:
-                raise ValueError(f"hyperparameter {name} must be nonnegative")
-        w = self.hyper.get("omega_cross")
-        if w is not None and not 0.0 < w < 1.0:
-            raise ValueError("omega_cross must lie in (0, 1)")
+def _check_strength(name, value):
+    if not value >= 0:
+        raise ValueError(f"{name} must be nonnegative")
+
+
+def _gaussian_kernel(x):
+    return -0.5 * float(np.sum(x * x)) / _KERNEL_VAR
 
 
 @dataclass
 class EdgeGraph:
-    """Weighted undirected graph over node indices with directed incidence.
+    """Undirected graph over node indices with directed incidence.
 
     Edge e = (j, j') contributes the row of B with +1 at j and -1 at j', so
-    B theta stacks the per-edge differences.  cross marks edges whose weight
-    is the learned cross-group value rather than 1.
+    B theta stacks the per-edge differences.  cross marks the edges whose
+    weight is the learned cross-group value omega rather than 1.
     """
 
     n_nodes: int
     edges: np.ndarray
-    weights: np.ndarray
     cross: np.ndarray
 
     def __post_init__(self):
         self.edges = np.asarray(self.edges, dtype=int).reshape(-1, 2)
-        self.weights = np.asarray(self.weights, dtype=float).ravel()
         self.cross = np.asarray(self.cross, dtype=bool).ravel()
         if self.edges.size and (
             self.edges.min() < 0 or self.edges.max() >= self.n_nodes
         ):
             raise ValueError("edge references a node outside the graph")
-        if len(self.weights) != len(self.edges) != len(self.cross):
-            raise ValueError("edges, weights, cross must align")
+        if len(self.cross) != len(self.edges):
+            raise ValueError("cross must have one entry per edge")
 
     @property
     def n_edges(self):
         return self.edges.shape[0]
+
+    def weights(self, omega):
+        """Edge weights: omega on cross-group edges, 1 within groups."""
+        return np.where(self.cross, omega, 1.0)
 
     def incidence(self):
         B = np.zeros((self.n_edges, self.n_nodes))
@@ -117,9 +88,9 @@ class EdgeGraph:
         return B
 
 
-def complete_graph(groups, omega_cross=1.0):
-    """Complete graph over all group members; cross-group edges get
-    weight omega_cross, within-group edges weight 1."""
+def complete_graph(groups):
+    """Complete graph over all group members, with the edges between
+    different groups marked cross."""
     members = [j for g in groups for j in g]
     m = len(members)
     if sorted(members) != list(range(m)):
@@ -133,74 +104,77 @@ def complete_graph(groups, omega_cross=1.0):
         for k in range(j + 1, m):
             edges.append((j, k))
             cross.append(owner[j] != owner[k])
-    cross = np.array(cross, dtype=bool)
-    weights = np.where(cross, omega_cross, 1.0)
-    return EdgeGraph(m, np.array(edges), weights, cross)
+    return EdgeGraph(m, np.array(edges), np.array(cross, dtype=bool))
 
 
-def log_gap_prior_l1(theta, u, spec):
+def log_gap_prior_l1(theta, u, lam, alpha):
     """Log density of the l1 gap-shrinkage prior at (theta, u).
 
-    -alpha * sum_j (lam - |u_j|) |theta_j| plus the kernel at theta + u;
-    -inf off the feasible region (box or sign violation).
+    -alpha * sum_j (lam - |u_j|) |theta_j| plus the standard Cauchy kernel
+    at theta + u; -inf off the feasible region (box or sign violation).
     """
+    _check_alpha(alpha)
+    _check_strength("lam", lam)
     theta = np.asarray(theta, dtype=float).ravel()
     u = np.asarray(u, dtype=float).ravel()
     if theta.shape != u.shape:
         raise DimensionError("theta and u differ in shape")
-    lam = spec.hyper["lam"]
     gap = l1_gap(lam, theta, u)
     if np.isinf(gap):
         return -np.inf
-    return -spec.alpha * gap + spec.kernel.log_density(theta + u)
+    beta = theta + u
+    return -alpha * gap - float(np.sum(np.log1p(beta * beta)))
 
 
-def log_gap_prior_fused(theta, v, graph, spec):
+def log_gap_prior_fused(theta, v, graph, rho, omega, alpha):
     """Log density of the graph-fused gap-shrinkage prior.
 
     theta is m x p (node by covariate), v holds one dual entry per
-    (edge, covariate).  The gap is rho * sum of weighted |difference| terms
-    minus the pairing <theta, B^T W v>; the anchor is theta + B^T W v.
-    -inf when any |v| exceeds rho.
+    (edge, covariate), and the edge weights are graph.weights(omega).  The
+    gap is rho * sum of weighted |difference| terms minus the pairing
+    <theta, B^T W v>; the Gaussian kernel sits at the anchor
+    theta + B^T W v.  -inf when any |v| exceeds rho.
     """
+    _check_alpha(alpha)
+    _check_strength("rho", rho)
+    if not 0.0 < omega < 1.0:
+        raise ValueError("omega must lie in (0, 1)")
     theta = np.atleast_2d(np.asarray(theta, dtype=float))
     v = np.atleast_2d(np.asarray(v, dtype=float))
     if theta.shape[0] != graph.n_nodes:
         raise DimensionError("theta rows must match graph nodes")
     if v.shape != (graph.n_edges, theta.shape[1]):
         raise DimensionError("v must be n_edges x n_covariates")
-    rho = spec.hyper["rho"]
     if v.size and np.max(np.abs(v)) > rho:
         return -np.inf
     B = graph.incidence()
-    w = graph.weights
+    w = graph.weights(omega)[:, None]
     diffs = B @ theta
-    gap = rho * float(np.sum(w[:, None] * np.abs(diffs))) - float(
-        np.sum(w[:, None] * v * diffs)
-    )
-    beta = theta + B.T @ (w[:, None] * v)
-    return -spec.alpha * gap + spec.kernel.log_density(beta)
+    gap = rho * float(np.sum(w * np.abs(diffs))) - float(np.sum(w * v * diffs))
+    return -alpha * gap + _gaussian_kernel(theta + B.T @ (w * v))
 
 
-def log_gap_prior_nuclear_sparse(A, B, V1, V2, spec):
+def log_gap_prior_nuclear_sparse(A, B, V1, V2, lam2, alpha):
     """Log density of the nuclear + elementwise-l1 gap-shrinkage prior.
 
     The nuclear strength is tied to the dual by lam1 = ||V1||_F, which keeps
     V1 automatically operator-norm feasible; entries of V2 must stay within
-    the sparsity strength lam2 or the density is -inf.
+    the sparsity strength lam2 or the density is -inf.  The Gaussian kernel
+    sits at the anchor A B^T + V1 + V2.
     """
+    _check_alpha(alpha)
+    _check_strength("lam2", lam2)
     A = np.atleast_2d(np.asarray(A, dtype=float))
     B = np.atleast_2d(np.asarray(B, dtype=float))
     V1 = np.asarray(V1, dtype=float)
     V2 = np.asarray(V2, dtype=float)
-    lam2 = spec.hyper["lam2"]
     if V2.size and np.max(np.abs(V2)) > lam2:
         return -np.inf
     lam1 = float(np.linalg.norm(V1))
     gap = variational_nuclear_gap(A, B, V1 + V2, lam1, lam2)
     if np.isinf(gap):
         return -np.inf
-    return -spec.alpha * gap + spec.kernel.log_density(A @ B.T + V1 + V2)
+    return -alpha * gap + _gaussian_kernel(A @ B.T + V1 + V2)
 
 
 def marginal_l1_prior(theta_j, lam, alpha):

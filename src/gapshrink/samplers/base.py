@@ -1,8 +1,7 @@
 """Shared sampler configuration, draw storage, the fixed hyperprior
-table, the base-kernel variance, and the conditional draws the samplers
-share: the Gaussian block draw, the regression theta draw, the Laplace
-scale-mixture precision, the inverse-gamma draw and the slice move on a box
-strength."""
+table, and the conditional draws the samplers share: the Gaussian block
+draw, the regression theta draw, the Laplace scale-mixture precision, the
+inverse-gamma draw and the slice move on a box strength."""
 
 from __future__ import annotations
 
@@ -32,10 +31,6 @@ __all__ = [
 
 # floor on mixture rates and on |x|, so no inverse-Gaussian mean is 0 or inf
 _EPS_ABS = 1e-8
-
-# variance per entry of the Gaussian base kernel on the anchor, in the
-# matrix-smoothing and fused-probit models
-_KERNEL_VAR = 100.0
 
 # The fixed hyperprior table of every sampler: (shape, rate) of the
 # inverse-gamma priors on the box strengths lam and lam2 and the

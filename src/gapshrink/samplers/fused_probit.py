@@ -15,10 +15,9 @@ import math
 
 import numpy as np
 
-from ..priors import complete_graph
+from ..priors import _KERNEL_VAR, complete_graph
 from ..rng import slice_sample_1d, stream, truncated_normal
 from .base import (
-    _KERNEL_VAR,
     HYPERPRIORS,
     gaussian_draw,
     inverse_gamma,
@@ -202,7 +201,7 @@ def gibbs_fused_probit(Y, X, taxonomy, config):
 
     def step(sweep):
         nonlocal M, z, v, inv_s, rho, omega, gamma, tau2
-        w = np.where(cross, omega, 1.0)
+        w = graph.weights(omega)
 
         rng = stream(seed, chain, sweep, _LATENT)
         mu = M + gamma[:, None]

@@ -19,9 +19,9 @@ import math
 
 import numpy as np
 
+from ..priors import _KERNEL_VAR
 from ..rng import inverse_gaussian, stream, truncated_normal
 from .base import (
-    _KERNEL_VAR,
     HYPERPRIORS,
     box_strength_step,
     gaussian_draw,

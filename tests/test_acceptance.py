@@ -307,7 +307,7 @@ def _frozen_fused_state(seed):
     graph = complete_graph([[0, 1], [2]])
     theta = rng.normal(0, 1, (3, 2))
     d = graph.incidence() @ theta
-    w = np.where(graph.cross, 0.4, 1.0)
+    w = graph.weights(0.4)
     v_unit = rng.uniform(-1, 1, (graph.n_edges, 2))
     sum_w_absdiff = float(np.sum(w[:, None] * np.abs(d)))
     sum_w_vunit_d = float(np.sum(w[:, None] * v_unit * d))
@@ -481,7 +481,7 @@ class TestCriterion9ConditionalCorrectness:
             rng0 = stream(2000 + m, 0, 0, 1)
             theta = rng0.normal(0, 10, (m, 2))
             v = rng0.uniform(-rho_, rho_, (graph.n_edges, 2))
-            w = np.where(graph.cross, 0.4, 1.0)
+            w = graph.weights(0.4)
             B = graph.incidence()
             anchor = theta + B.T @ (w[:, None] * v)
             c = max(edge_classes(graph.edges, m), key=len)

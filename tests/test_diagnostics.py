@@ -6,7 +6,6 @@ from gapshrink.diagnostics import (
     acf,
     ess,
     ess_from_acf,
-    summarize_series,
 )
 
 
@@ -70,15 +69,3 @@ class TestESS:
         with pytest.raises(ValueError):
             ess(np.arange(50.0))
 
-
-class TestSummaries:
-    def test_summarize_matches_numpy(self):
-        rng = np.random.default_rng(8)
-        draws = rng.standard_normal((400, 3)) + np.array([0.0, 2.0, -1.0])
-        s = summarize_series(draws, ["a", "b", "c"], wall_seconds=2.0)
-        np.testing.assert_allclose(s.mean, draws.mean(axis=0))
-        np.testing.assert_allclose(s.q50, np.quantile(draws, 0.5, axis=0))
-        np.testing.assert_allclose(s.acf[:, 0], 1.0)
-        assert np.all(s.ess > 0)
-        assert np.all(s.ess <= ESS_CAP * 400)
-        np.testing.assert_allclose(s.ess_per_second, s.ess / 2.0)

@@ -240,7 +240,7 @@ class TestFusedProbit:
         state = np.random.default_rng(5)
         theta = 3.0 * state.standard_normal((m, p))
         v0 = state.uniform(-rho, rho, (len(edges), p))
-        w = np.where(graph.cross, 0.3, 1.0)
+        w = graph.weights(0.3)
         d = B @ theta
 
         got = v0.copy()
