@@ -11,7 +11,7 @@ from dataclasses import asdict, dataclass
 from types import MappingProxyType
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve, solve_triangular
+from scipy.linalg import LinAlgError, cho_factor, cho_solve
 from scipy.linalg.blas import dgemv, dsyrk
 
 from ..errors import NumericError
@@ -107,28 +107,18 @@ def gaussian_draw(prec, lin, rng):
 
     prec is one (r, r) precision with lin of shape (r,), or a stack of k
     precisions (k, r, r) with lin of shape (k, r), one independent draw per
-    slice.  A single matrix goes through LAPACK's triangular solves, which
-    numpy lacks (its LU solve is several times slower at r = 500); a stack
-    goes through numpy's batched Cholesky and solve, which loop in C where
-    scipy's loop in Python.  Either way lin.size standard normals are drawn
-    in C order.
+    slice.  Both go through numpy's batched Cholesky and solve, which loop
+    in C over a stack, so every call stays in numpy's OpenBLAS.  lin.size
+    standard normals are drawn in C order.
 
     Raises NumericError when prec is not positive definite or the draw is
     not finite.
     """
     try:
-        if prec.ndim == 2:
-            cf = cho_factor(prec, lower=True, check_finite=False)
-            mean = cho_solve(cf, lin, check_finite=False)
-            noise = solve_triangular(
-                cf[0], rng.standard_normal(lin.size), lower=True, trans="T",
-                check_finite=False,
-            )
-        else:
-            L = np.linalg.cholesky(prec)
-            mean = np.linalg.solve(prec, lin[..., None])[..., 0]
-            z = rng.standard_normal((*lin.shape, 1))
-            noise = np.linalg.solve(np.swapaxes(L, -1, -2), z)[..., 0]
+        L = np.linalg.cholesky(prec)
+        mean = np.linalg.solve(prec, lin[..., None])[..., 0]
+        z = rng.standard_normal((*lin.shape, 1))
+        noise = np.linalg.solve(np.swapaxes(L, -1, -2), z)[..., 0]
     except np.linalg.LinAlgError as exc:
         raise NumericError(
             "conditional precision is not positive definite "
