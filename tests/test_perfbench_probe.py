@@ -13,9 +13,6 @@ import re
 import sys
 from pathlib import Path
 
-import gapshrink.certify
-import gapshrink.experiments
-import gapshrink.plots  # noqa: F401  (the probe wraps every loaded module)
 from gapshrink.experiments import ExperimentConfig, run_experiment
 from gapshrink.samplers import SamplerConfig
 
@@ -43,14 +40,9 @@ def program_bindings():
 def test_traced_probe_sees_every_benchmark_block(tmp_path):
     names = [m["name"] for m in
              json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]]
-    blocks = {
-        f"{model}.{block}"
-        for model, block in (
-            re.fullmatch(r"samplers\.(\w+)\.(\w+)\.s_per_sweep", n).groups()
-            for n in names
-            if re.fullmatch(r"samplers\.\w+\.\w+\.s_per_sweep", n)
-        )
-    }
+    per_block = (re.fullmatch(r"samplers\.(\w+\.\w+)\.s_per_sweep", n)
+                 for n in names)
+    blocks = {m.group(1) for m in per_block if m}
     assert blocks, "BENCHMARK.json names no per-block span"
     suites = {f"certify.{s}" for s in
               ("nonnegativity", "theorem1", "theorem2", "zero_gap")}

@@ -108,6 +108,35 @@ class TestFusedPrior:
             EdgeGraph(3, [(0, 1), (1, 2)], [False])
 
 
+class TestNuclearSparsePrior:
+    def test_all_zero(self):
+        A = np.zeros((2, 1))
+        B = np.zeros((2, 1))
+        V = np.zeros((2, 2))
+        assert log_gap_prior_nuclear_sparse(A, B, V, V, 1.0, 1.0) == pytest.approx(0.0)
+
+    def test_balanced_optimum_gap_free(self):
+        s2 = np.sqrt(2.0)
+        A = np.array([[s2], [0.0]])
+        B = np.array([[s2], [0.0]])
+        V1 = np.zeros((2, 2))
+        V1[0, 0] = 1.0
+        got = log_gap_prior_nuclear_sparse(A, B, V1, np.zeros((2, 2)), 1.0, 1.0)
+        theta = A @ B.T
+        # lam2 ||theta||_1 survives: entries (2,0,0,0) with lam2=1 give 2
+        expected = -2.0 - np.sum((theta + V1) ** 2) / 200.0
+        assert got == pytest.approx(expected)
+
+    def test_v2_outside_box(self):
+        A = np.zeros((2, 1))
+        B = np.zeros((2, 1))
+        V2 = np.full((2, 2), 1.5)
+        got = log_gap_prior_nuclear_sparse(
+            A, B, np.zeros((2, 2)), V2, 1.0, 1.0
+        )
+        assert got == -np.inf
+
+
 class TestMarginalPrior:
     def test_value_at_origin(self):
         # gap factor is identically 1 at theta = 0, leaving the Cauchy mass
