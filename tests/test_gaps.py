@@ -2,7 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gapshrink.errors import ContractViolationError, DimensionError
+from gapshrink.errors import (
+    ContractViolationError,
+    DimensionError,
+    UnsupportedPenaltyError,
+)
 from gapshrink.gaps import (
     SimplexPoint,
     fenchel_young_gap,
@@ -102,6 +106,33 @@ class TestKLGap:
     def test_outside_halfspace_is_inf(self):
         hs = Halfspace([1.0, 0.0], 0.3)
         assert kl_gap([0.5, 0.5], [0.5, 0.5], [0.0, 0.0], hs) == np.inf
+
+    beta = [0.5, 0.3, 0.2]
+    z = [0.2, 0.3, 0.5]
+    u = [0.3, -0.4, 0.1]
+
+    def _kl_plus_lse(self):
+        kl = 0.2 * np.log(0.2 / 0.5) + 0.5 * np.log(0.5 / 0.2)
+        lse = np.log(0.5 * np.exp(-0.3) + 0.3 * np.exp(0.4) + 0.2 * np.exp(-0.1))
+        return kl + lse
+
+    def test_norm_ball_constraint(self):
+        # sigma = radius * ||u||_2 = 1.0 * sqrt(0.26); ||z||_2 = sqrt(0.38) < 1
+        gap = kl_gap(self.beta, self.z, self.u, NormBall("l2", 1.0))
+        assert gap == pytest.approx(self._kl_plus_lse() + np.sqrt(0.26), rel=1e-12)
+        assert kl_gap(self.beta, self.z, self.u, NormBall("l2", 0.6)) == np.inf
+
+    def test_group_l2_constraint(self):
+        # sigma = 0.5 * ||(0.3, -0.4)||_2 + 2.0 * |0.1| = 0.45
+        ball = GroupL2(((0, 1), (2,)), (0.5, 2.0))
+        gap = kl_gap(self.beta, self.z, self.u, ball)
+        assert gap == pytest.approx(self._kl_plus_lse() + 0.45, rel=1e-12)
+        # ||(0.5, 0.4)||_2 > 0.5: z leaves the first group's ball
+        assert kl_gap(self.beta, [0.5, 0.4, 0.1], self.u, ball) == np.inf
+
+    def test_non_set_constraint_rejected(self):
+        with pytest.raises(UnsupportedPenaltyError):
+            kl_gap(self.beta, self.z, self.u, L1(1.0))
 
 
 class TestVariationalAdditive:

@@ -58,6 +58,13 @@ class TestPenaltyValue:
         with pytest.raises(DimensionError):
             penalty_value(Nuclear(1.0, (2, 3)), np.zeros((3, 2)))
 
+    def test_non_penalty_rejected(self):
+        for spec in (object(), "l1", None):
+            with pytest.raises(UnsupportedPenaltyError):
+                penalty_value(spec, [1.0, 2.0])
+            with pytest.raises(UnsupportedPenaltyError):
+                conjugate_value(spec, [1.0, 2.0])
+
 
 class TestConjugate:
     def test_l1_box(self):
