@@ -25,7 +25,6 @@ from .penalties import (
     Sum,
     conjugate_value,
     penalty_value,
-    support_function,
 )
 from .oracles import (
     OracleResult,

@@ -22,6 +22,7 @@ from .penalties import (
     GroupL2,
     Halfspace,
     NormBall,
+    Nuclear,
     Sum,
     _case_param,
     _check_cases,
@@ -30,11 +31,7 @@ from .penalties import (
     _per_entry,
     _result,
     conjugate_value,
-    domain_axes,
-    halfspace_support,
-    operator_norm,
     penalty_value,
-    support_function,
 )
 
 __all__ = [
@@ -86,8 +83,8 @@ def fenchel_young_gap(spec, theta, u):
     theta, u = _vectors(theta, u)
     if theta.shape != u.shape:
         raise DimensionError("theta and u differ in shape")
-    inner = np.sum(u * theta, axis=domain_axes(spec))
-    return _result(conjugate_value(spec, u) + penalty_value(spec, theta) - inner)
+    gap = conjugate_value(spec, u) + penalty_value(spec, theta)
+    return _result(gap - np.sum(u * theta, axis=spec.axes))
 
 
 def proximal_duality_gap(spec, z, u, beta):
@@ -98,8 +95,8 @@ def proximal_duality_gap(spec, z, u, beta):
     """
     z, u, beta = _vectors(z, u, beta)
     slack = beta - z - u
-    quad = 0.5 * np.sum(slack * slack, axis=domain_axes(spec))
-    return _result(fenchel_young_gap(spec, z, u) + quad)
+    gap = fenchel_young_gap(spec, z, u)
+    return _result(gap + 0.5 * np.sum(slack * slack, axis=spec.axes))
 
 
 def l1_gap(lam, theta, u):
@@ -180,11 +177,8 @@ def kl_gap(beta, z, u, c0="free"):
     if c0 == "free":
         sigma = np.where(np.any(u != 0.0, axis=-1), np.inf, 0.0)
         inside = True
-    elif isinstance(c0, Halfspace):
-        sigma = halfspace_support(c0, u)
-        inside = _dot(c0.a, z) <= c0.b + 1e-10
-    elif isinstance(c0, (NormBall, GroupL2)):
-        sigma = support_function(c0, u)
+    elif isinstance(c0, (Halfspace, NormBall, GroupL2)):
+        sigma = conjugate_value(c0, u)
         inside = np.isfinite(penalty_value(c0, z))
     else:
         raise UnsupportedPenaltyError(f"unsupported constraint set {c0!r}")
@@ -246,7 +240,7 @@ def variational_nuclear_gap(A, B, u, lam1, lam2):
         V2 = np.asarray(u[1], dtype=float)
         if V2.size and np.max(np.abs(V2)) > lam2 + 1e-12:
             return np.inf
-        if operator_norm(V1) > lam1 + 1e-8 * max(1.0, lam1):
+        if conjugate_value(Nuclear(lam1, V1.shape), V1) == np.inf:
             return np.inf
         V = V1 + V2
     else:

@@ -1,10 +1,15 @@
-"""Penalty algebra: values, Fenchel conjugates, and support functions.
+"""Penalty algebra: values and Fenchel conjugates.
 
 A penalty is a convex, lower semi-continuous function g.  Set constraints
 are encoded as indicator penalties (0 inside, +inf outside), so Euclidean
-projections are the special case of proximal mappings with an indicator g.
+projections are the special case of proximal mappings with an indicator g,
+and the conjugate of a set indicator is the set's support function.
 Extended-real arithmetic uses IEEE +inf; no term is ever -inf, so sums of
 penalty and conjugate terms never form inf - inf.
+
+Each penalty kind is a dataclass that states its own domain, per-case
+parameters, value and conjugate; penalty_value and conjugate_value check
+the shapes and call it.
 
 Every function takes a stack of cases.  A vector penalty reads the last
 axis of its argument and the nuclear norm the last two; the leading axes
@@ -33,7 +38,6 @@ __all__ = [
     "Halfspace",
     "penalty_value",
     "conjugate_value",
-    "support_function",
     "operator_norm",
 ]
 
@@ -94,20 +98,45 @@ def _vector_norm(x, tag):
     raise ValueError(f"unknown norm tag {tag!r}")
 
 
+class _Penalty:
+    """A penalty kind: axes are the trailing axes of one point, dim the
+    point shape the kind fixes (None if any), params() the per-case
+    parameters; value(z) and conjugate(u) take points checked against them.
+    """
+
+    axes = (-1,)
+    dim = None
+
+    def conjugate(self, u):
+        raise UnsupportedPenaltyError(
+            f"no tractable conjugate for {type(self).__name__}"
+        )
+
+
 @dataclass
-class L1:
-    """g(z) = lam * ||z||_1."""
+class L1(_Penalty):
+    """g(z) = lam * ||z||_1; its conjugate is the indicator of the box
+    ||u||_inf <= lam."""
 
     lam: float
 
     def __post_init__(self):
         self.lam = _case_param(self.lam, "lam")
 
+    def params(self):
+        return (self.lam,)
+
+    def value(self, z):
+        return self.lam * np.sum(np.abs(z), axis=-1)
+
+    def conjugate(self, u):
+        return np.where(_vector_norm(u, "linf") <= self.lam, 0.0, np.inf)
+
 
 @dataclass
-class GeneralizedL1:
+class GeneralizedL1(_Penalty):
     """g(z) = lam * ||D z||_1 for a d x p contrast matrix D shared by all
-    cases."""
+    cases; no closed-form conjugate."""
 
     D: np.ndarray
     lam: float
@@ -117,11 +146,19 @@ class GeneralizedL1:
         self.lam = _case_param(self.lam, "lam")
         if self.D.shape[0] < 1:
             raise ValueError("D needs at least one row")
+        self.dim = self.D.shape[1:]
+
+    def params(self):
+        return (self.lam,)
+
+    def value(self, z):
+        return self.lam * np.sum(np.abs(_matvec(self.D, z)), axis=-1)
 
 
 @dataclass
-class NormBall:
-    """Indicator of {z : ||z|| <= radius} for norm in {l1, l2, linf}."""
+class NormBall(_Penalty):
+    """Indicator of {z : ||z|| <= radius} for norm in {l1, l2, linf}; its
+    conjugate is the support function radius * ||u||_dual."""
 
     norm: str
     radius: float
@@ -131,15 +168,25 @@ class NormBall:
             raise ValueError(f"unknown norm tag {self.norm!r}")
         self.radius = _case_param(self.radius, "radius")
 
+    def params(self):
+        return (self.radius,)
+
+    def value(self, z):
+        inside = _vector_norm(z, self.norm) <= self.radius + 1e-12
+        return np.where(inside, 0.0, np.inf)
+
+    def conjugate(self, u):
+        return self.radius * _vector_norm(u, _DUAL_NORM[self.norm])
+
 
 @dataclass
-class GroupL2:
+class GroupL2(_Penalty):
     """Indicator of the intersection of per-group l2 balls.
 
     groups is a tuple of index tuples; radii matches it elementwise, one
     per-case parameter per group.  Only partitions (disjoint groups) admit
-    a closed-form support function; for overlapping covers use the
-    variational additive gap instead.
+    a closed-form support function, the sum of radius * ||u_group||_2;
+    for overlapping covers use the variational additive gap instead.
     """
 
     groups: tuple
@@ -150,28 +197,66 @@ class GroupL2:
         self.radii = tuple(_case_param(r, "radii") for r in self.radii)
         if len(self.groups) != len(self.radii):
             raise ValueError("groups and radii length mismatch")
+        self.dim = (max(i for g in self.groups for i in g) + 1,)
 
-    def is_partition(self, dim):
-        seen = [i for g in self.groups for i in g]
-        return sorted(seen) == list(range(dim))
+    def params(self):
+        return self.radii
+
+    def _group_norms(self, z):
+        return [np.sqrt(np.sum(z[..., list(g)] ** 2, axis=-1))
+                for g in self.groups]
+
+    def value(self, z):
+        out = np.zeros(z.shape[:-1])
+        for norm, r in zip(self._group_norms(z), self.radii):
+            out = np.where(norm > r + 1e-12, np.inf, out)
+        return out
+
+    def conjugate(self, u):
+        if sorted(i for g in self.groups for i in g) != list(range(self.dim[0])):
+            raise UnsupportedPenaltyError(
+                "support function of overlapping group balls is not "
+                "separable; use the variational additive gap"
+            )
+        return sum(r * norm for norm, r in zip(self._group_norms(u), self.radii))
+
+
+# Margin for the nuclear conjugate's operator-norm test: a dual scaled exactly
+# onto the ball can come back from the SVD a rounding error above lam.
+_OPNORM_MARGIN = 1e-8
 
 
 @dataclass
-class Nuclear:
-    """g(Z) = lam * (sum of singular values of Z) on p1 x p2 matrices."""
+class Nuclear(_Penalty):
+    """g(Z) = lam * (sum of singular values of Z) on p1 x p2 matrices; its
+    conjugate is the indicator of the operator-norm ball of radius lam
+    (tested on the SVD norm, with a rounding margin)."""
 
     lam: float
     shape: tuple
 
+    axes = (-2, -1)
+
     def __post_init__(self):
         self.lam = _case_param(self.lam, "lam")
-        self.shape = (int(self.shape[0]), int(self.shape[1]))
+        self.shape = self.dim = (int(self.shape[0]), int(self.shape[1]))
+
+    def params(self):
+        return (self.lam,)
+
+    def value(self, z):
+        return self.lam * np.sum(np.linalg.svd(z, compute_uv=False), axis=-1)
+
+    def conjugate(self, u):
+        bound = self.lam + _OPNORM_MARGIN * np.maximum(1.0, self.lam)
+        return np.where(operator_norm(u) <= bound, 0.0, np.inf)
 
 
 @dataclass
-class Quadratic:
-    """g(z) = 0.5 * z^T Q z with Q symmetric positive definite; a stack of
-    cases may carry one Q per case along Q's leading axes."""
+class Quadratic(_Penalty):
+    """g(z) = 0.5 * z^T Q z with Q symmetric positive definite, conjugate
+    0.5 * u^T Q^-1 u; a stack of cases may carry one Q per case along Q's
+    leading axes."""
 
     Q: np.ndarray
 
@@ -181,10 +266,20 @@ class Quadratic:
             raise ValueError("Q must be square")
         if not np.allclose(self.Q, np.swapaxes(self.Q, -1, -2), atol=1e-10):
             raise ValueError("Q must be symmetric")
+        self.dim = self.Q.shape[-1:]
+
+    def params(self):
+        return (self.Q[..., 0, 0],)
+
+    def value(self, z):
+        return 0.5 * _dot((z[..., None, :] @ self.Q)[..., 0, :], z)
+
+    def conjugate(self, u):
+        return 0.5 * _dot(u, np.linalg.solve(self.Q, u[..., None])[..., 0])
 
 
 @dataclass
-class Sum:
+class Sum(_Penalty):
     """g(z) = sum_j g_j(z) over penalties sharing one domain."""
 
     parts: tuple = field(default_factory=tuple)
@@ -193,14 +288,34 @@ class Sum:
         self.parts = tuple(self.parts)
         if not self.parts:
             raise ValueError("Sum needs at least one part")
+        self.dim = next((p.dim for p in self.parts if p.dim is not None), None)
+
+    def params(self):
+        return tuple(x for part in self.parts for x in part.params())
+
+    def value(self, z):
+        return sum(part.value(z) for part in self.parts)
+
+    def conjugate(self, u):
+        raise UnsupportedPenaltyError(
+            "conjugate of a Sum is an infimal convolution; "
+            "use variational_additive_gap"
+        )
+
+
+# Tolerance of the halfspace's membership and normal-cone tests.
+_HALFSPACE_TOL = 1e-10
 
 
 @dataclass
-class Halfspace:
-    """The set {z : a^T z <= b}; used as a constraint in Bregman projections.
+class Halfspace(_Penalty):
+    """Indicator of the set {z : a^T z <= b}; used as a constraint in
+    Bregman projections.
 
     a may carry one normal per case along its leading axes, and b one
-    offset per case."""
+    offset per case.  The conjugate (support function) is nu * b when u is
+    a multiple nu >= 0 of a, and +inf off that normal cone.
+    """
 
     a: np.ndarray
     b: float
@@ -209,63 +324,38 @@ class Halfspace:
         self.a = np.atleast_1d(np.asarray(self.a, dtype=float))
         b = self.b
         self.b = float(b) if np.ndim(b) == 0 else np.asarray(b, dtype=float)
+        self.dim = self.a.shape[-1:]
 
+    def params(self):
+        return (self.a[..., 0], self.b)
 
-def _case_params(spec):
-    """The per-case parameters of a spec, for the case-axes check."""
-    if isinstance(spec, (L1, GeneralizedL1, Nuclear)):
-        return (spec.lam,)
-    if isinstance(spec, NormBall):
-        return (spec.radius,)
-    if isinstance(spec, GroupL2):
-        return spec.radii
-    if isinstance(spec, Quadratic):
-        return (spec.Q[..., 0, 0],)
-    if isinstance(spec, Halfspace):
-        return (spec.a[..., 0], spec.b)
-    if isinstance(spec, Sum):
-        return tuple(x for part in spec.parts for x in _case_params(part))
-    return ()
+    def value(self, z):
+        return np.where(_dot(self.a, z) <= self.b + _HALFSPACE_TOL, 0.0, np.inf)
 
-
-def domain_dim(spec):
-    """Domain dimension if the spec pins one down, else None."""
-    if isinstance(spec, GeneralizedL1):
-        return spec.D.shape[1]
-    if isinstance(spec, Quadratic):
-        return spec.Q.shape[-1]
-    if isinstance(spec, Nuclear):
-        return spec.shape
-    if isinstance(spec, Sum):
-        for part in spec.parts:
-            d = domain_dim(part)
-            if d is not None:
-                return d
-    if isinstance(spec, GroupL2):
-        return max(i for g in spec.groups for i in g) + 1
-    return None
-
-
-def domain_axes(spec):
-    """The trailing axes that hold one case's point."""
-    return (-2, -1) if isinstance(spec, Nuclear) else -1
+    def conjugate(self, u):
+        a, tol = self.a, _HALFSPACE_TOL
+        denom = _dot(a, a)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            nu = _dot(u, a) / denom
+            scale = np.maximum(1.0, np.max(np.abs(u), axis=-1, initial=0.0))
+            residual = np.max(np.abs(u - _per_entry(nu) * a), axis=-1, initial=0.0)
+            off_cone = (nu < -tol) | (residual > tol * scale)
+            out = np.where(
+                (denom == 0.0) | off_cone, np.inf, np.maximum(nu, 0.0) * self.b
+            )
+        return np.where(np.any(u != 0.0, axis=-1), out, 0.0)
 
 
 def _check_shape(spec, z):
     """z as an array of cases: trailing axes in the spec's domain, leading
     axes matching the spec's per-case parameters."""
-    if isinstance(spec, Nuclear):
-        z = np.asarray(z, dtype=float)
-        if z.shape[-2:] != spec.shape:
-            raise DimensionError(f"expected shape {spec.shape}, got {z.shape}")
-        cases = z.shape[:-2]
-    else:
-        z = np.atleast_1d(np.asarray(z, dtype=float))
-        dim = domain_dim(spec)
-        if dim is not None and z.shape[-1] != dim:
-            raise DimensionError(f"expected dimension {dim}, got {z.shape[-1]}")
-        cases = z.shape[:-1]
-    _check_cases(cases, *_case_params(spec))
+    if not isinstance(spec, _Penalty):
+        raise UnsupportedPenaltyError(f"unknown penalty {type(spec).__name__}")
+    z = np.atleast_1d(np.asarray(z, dtype=float))
+    split = z.ndim - len(spec.axes)
+    if spec.dim is not None and z.shape[split:] != spec.dim:
+        raise DimensionError(f"expected a point of shape {spec.dim}, got {z.shape}")
+    _check_cases(z.shape[:split], *spec.params())
     return z
 
 
@@ -278,112 +368,15 @@ def operator_norm(M):
     return _result(np.linalg.svd(M, compute_uv=False)[..., 0])
 
 
-def _penalty(spec, z):
-    if isinstance(spec, L1):
-        return spec.lam * np.sum(np.abs(z), axis=-1)
-    if isinstance(spec, GeneralizedL1):
-        return spec.lam * np.sum(np.abs(_matvec(spec.D, z)), axis=-1)
-    if isinstance(spec, NormBall):
-        inside = _vector_norm(z, spec.norm) <= spec.radius + 1e-12
-        return np.where(inside, 0.0, np.inf)
-    if isinstance(spec, GroupL2):
-        out = np.zeros(z.shape[:-1])
-        for g, r in zip(spec.groups, spec.radii):
-            outside = np.sqrt(np.sum(z[..., list(g)] ** 2, axis=-1)) > r + 1e-12
-            out = np.where(outside, np.inf, out)
-        return out
-    if isinstance(spec, Nuclear):
-        return spec.lam * np.sum(np.linalg.svd(z, compute_uv=False), axis=-1)
-    if isinstance(spec, Quadratic):
-        return 0.5 * _dot((z[..., None, :] @ spec.Q)[..., 0, :], z)
-    if isinstance(spec, Sum):
-        return sum(_penalty(part, z) for part in spec.parts)
-    raise UnsupportedPenaltyError(f"unknown penalty {type(spec).__name__}")
-
-
 def penalty_value(spec, z):
     """Evaluate g(z); +inf for indicator penalties outside their set."""
-    return _result(_penalty(spec, _check_shape(spec, z)))
-
-
-# Margin for the nuclear conjugate's operator-norm test: a dual scaled exactly
-# onto the ball can come back from the SVD a rounding error above lam.
-_OPNORM_MARGIN = 1e-8
+    z = _check_shape(spec, z)
+    return _result(spec.value(z))
 
 
 def conjugate_value(spec, u):
-    """Fenchel conjugate g*(u) = sup_w { u^T w - g(w) }.
-
-    Closed forms: the L1 conjugate is the indicator of the dual-norm box,
-    a ball indicator conjugates to its support function, a positive-definite
-    quadratic to the inverse quadratic, and the nuclear norm to the indicator
-    of the operator-norm ball (its SVD norm, with a rounding margin).
-    """
-    if isinstance(spec, Sum):
-        raise UnsupportedPenaltyError(
-            "conjugate of a Sum is an infimal convolution; "
-            "use variational_additive_gap"
-        )
-    if isinstance(spec, GroupL2):
-        return support_function(spec, u)
+    """Fenchel conjugate g*(u) = sup_w { u^T w - g(w) }; for a set
+    indicator this is the set's support function.  Raises
+    UnsupportedPenaltyError for kinds without a closed form."""
     u = _check_shape(spec, u)
-    if isinstance(spec, L1):
-        out = np.where(_vector_norm(u, "linf") <= spec.lam, 0.0, np.inf)
-    elif isinstance(spec, NormBall):
-        out = spec.radius * _vector_norm(u, _DUAL_NORM[spec.norm])
-    elif isinstance(spec, Quadratic):
-        out = 0.5 * _dot(u, np.linalg.solve(spec.Q, u[..., None])[..., 0])
-    elif isinstance(spec, Nuclear):
-        bound = spec.lam + _OPNORM_MARGIN * np.maximum(1.0, spec.lam)
-        out = np.where(operator_norm(u) <= bound, 0.0, np.inf)
-    else:
-        raise UnsupportedPenaltyError(
-            f"no tractable conjugate for {type(spec).__name__}"
-        )
-    return _result(out)
-
-
-def support_function(ball, u):
-    """Support function sigma_C(u) = sup_{w in C} u^T w of a ball indicator.
-
-    NormBall gives radius times the dual norm of u.  GroupL2 with disjoint
-    groups gives the sum of per-group radius * ||u_group||_2 terms.
-    """
-    if isinstance(ball, NormBall):
-        u = _check_shape(ball, u)
-        return _result(ball.radius * _vector_norm(u, _DUAL_NORM[ball.norm]))
-    if isinstance(ball, GroupL2):
-        u = np.atleast_1d(np.asarray(u, dtype=float))
-        if not ball.is_partition(u.shape[-1]):
-            raise UnsupportedPenaltyError(
-                "support function of overlapping group balls is not "
-                "separable; use the variational additive gap"
-            )
-        u = _check_shape(ball, u)
-        return _result(sum(
-            r * np.sqrt(np.sum(u[..., list(g)] ** 2, axis=-1))
-            for g, r in zip(ball.groups, ball.radii)
-        ))
-    raise UnsupportedPenaltyError("support_function requires a ball indicator")
-
-
-def halfspace_support(hs, u, tol=1e-10):
-    """sigma_C(u) for C = {z : a^T z <= b}.
-
-    Finite only when u is a nonnegative multiple of a (the normal cone
-    direction); returns +inf otherwise.
-    """
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    a = hs.a
-    if u.shape[-1] != a.shape[-1]:
-        raise DimensionError("u and halfspace normal differ in shape")
-    _check_cases(u.shape[:-1], *_case_params(hs))
-    denom = _dot(a, a)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        nu = _dot(u, a) / denom
-        scale = np.maximum(1.0, np.max(np.abs(u), axis=-1, initial=0.0))
-        off_cone = (nu < -tol) | (
-            np.max(np.abs(u - _per_entry(nu) * a), axis=-1, initial=0.0) > tol * scale
-        )
-        out = np.where((denom == 0.0) | off_cone, np.inf, np.maximum(nu, 0.0) * hs.b)
-    return _result(np.where(np.any(u != 0.0, axis=-1), out, 0.0))
+    return _result(spec.conjugate(u))

@@ -71,6 +71,11 @@ class SamplerConfig:
             raise ValueError("thinning must be between 1 and retain")
         if self.alpha <= 0:
             raise ValueError("alpha must be positive")
+        # rng.stream keys 16 bits of the chain id; 65536 would replay chain 0
+        if not 0 <= self.chain_id <= 65535:
+            raise ValueError("chain_id must be between 0 and 65535")
+        if self.rank < 1:
+            raise ValueError("rank must be at least 1")
 
     def digest(self):
         return hashlib.sha256(

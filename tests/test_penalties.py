@@ -13,10 +13,8 @@ from gapshrink.penalties import (
     Quadratic,
     Sum,
     conjugate_value,
-    halfspace_support,
     operator_norm,
     penalty_value,
-    support_function,
 )
 
 
@@ -92,40 +90,46 @@ class TestConjugate:
 
 
 class TestSupportFunction:
+    """The conjugate of a ball indicator is its support function."""
+
     def test_l1_ball_dual_is_linf(self):
-        assert support_function(NormBall("l1", 1.0), [3.0, -1.0]) == pytest.approx(3.0)
+        assert conjugate_value(NormBall("l1", 1.0), [3.0, -1.0]) == pytest.approx(3.0)
 
     def test_l2_ball(self):
-        assert support_function(NormBall("l2", 2.0), [3.0, 4.0]) == pytest.approx(10.0)
+        assert conjugate_value(NormBall("l2", 2.0), [3.0, 4.0]) == pytest.approx(10.0)
 
     def test_group_l2_single_group(self):
         spec = GroupL2(((0, 1),), (1.0,))
-        assert support_function(spec, [3.0, 4.0]) == pytest.approx(5.0)
+        assert conjugate_value(spec, [3.0, 4.0]) == pytest.approx(5.0)
 
     def test_group_l2_partition_sums(self):
         spec = GroupL2(((0, 1), (2,)), (1.0, 2.0))
-        assert support_function(spec, [3.0, 4.0, -1.0]) == pytest.approx(7.0)
+        assert conjugate_value(spec, [3.0, 4.0, -1.0]) == pytest.approx(7.0)
 
     def test_overlapping_groups_rejected(self):
         spec = GroupL2(((0, 1), (1, 2)), (1.0, 1.0))
         with pytest.raises(UnsupportedPenaltyError):
-            support_function(spec, [1.0, 1.0, 1.0])
-
-    def test_non_ball_rejected(self):
-        with pytest.raises(UnsupportedPenaltyError):
-            support_function(L1(1.0), [1.0])
+            conjugate_value(spec, [1.0, 1.0, 1.0])
 
 
 class TestHalfspaceSupport:
     def test_cone_direction(self):
         hs = Halfspace([1.0, 0.0], 0.5)
-        assert halfspace_support(hs, [2.0, 0.0]) == pytest.approx(1.0)
-        assert halfspace_support(hs, [0.0, 0.0]) == 0.0
+        assert conjugate_value(hs, [2.0, 0.0]) == pytest.approx(1.0)
+        assert conjugate_value(hs, [0.0, 0.0]) == 0.0
 
     def test_off_cone_is_infinite(self):
         hs = Halfspace([1.0, 0.0], 0.5)
-        assert halfspace_support(hs, [0.0, 1.0]) == np.inf
-        assert halfspace_support(hs, [-1.0, 0.0]) == np.inf
+        assert conjugate_value(hs, [0.0, 1.0]) == np.inf
+        assert conjugate_value(hs, [-1.0, 0.0]) == np.inf
+
+    def test_indicator_value(self):
+        hs = Halfspace([[1.0, 0.0], [1.0, 1.0]], [0.5, 0.5])
+        np.testing.assert_array_equal(
+            penalty_value(hs, [[0.5, 3.0], [0.3, 0.3]]), [0.0, np.inf]
+        )
+        with pytest.raises(DimensionError):
+            penalty_value(hs, [[0.5, 3.0, 0.0], [0.3, 0.3, 0.0]])
 
 
 class TestOperatorNorm:

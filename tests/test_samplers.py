@@ -593,6 +593,17 @@ class TestConfig:
             SamplerConfig(warmup=3, retain=2, thinning=3)
         assert SamplerConfig(retain=3, thinning=3).thinning == 3
 
+    def test_chain_id_and_rank_bounds(self):
+        # the streams key 16 bits of the chain id, so chain 65536 would
+        # silently replay chain 0's draws
+        for chain_id in (-1, 65536):
+            with pytest.raises(ValueError):
+                SamplerConfig(chain_id=chain_id)
+        assert SamplerConfig(chain_id=65535).chain_id == 65535
+        with pytest.raises(ValueError):
+            SamplerConfig(rank=0)
+        assert SamplerConfig(rank=1).rank == 1
+
     def test_digest_tracks_settings(self):
         a = SamplerConfig(seed=1).digest()
         assert SamplerConfig(seed=1).digest() == a
