@@ -164,7 +164,8 @@ def kl_gap(beta, z, u, c0="free"):
 
     KL(z, beta) + log(sum_j beta_j exp(-u_j)) + sigma_C0(u), where the
     support term comes from the constraint set: "free" means the whole
-    space (finite only at u = 0), otherwise a Halfspace or ball indicator.
+    space (finite only at u = 0), otherwise a Halfspace or ball indicator,
+    whose conjugate is sigma_C0; +inf when z falls outside C0.
     """
     beta = as_simplex(beta)
     z = as_simplex(z)
