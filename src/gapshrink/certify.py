@@ -43,6 +43,12 @@ __all__ = [
 
 _BLOCK = 7777
 
+# case counts, and the fused-ADMM tolerances of theorem 1 and zero gap
+_NONNEG_CASES = 10_000
+_THEOREM_CASES = 1000
+_THM1_TOL = 1e-9
+_ZERO_GAP_TOL = 1e-8
+
 
 def _random_chain_diff(p):
     D = np.zeros((p - 1, p))
@@ -168,7 +174,7 @@ _NONNEG_KINDS = {
 }
 
 
-def check_gap_nonnegativity(n_cases=10_000, seed=0):
+def check_gap_nonnegativity(seed=0):
     """Weak duality across penalty kinds: every gap at a feasible dual
     point must be nonnegative (within -1e-10).
 
@@ -177,7 +183,7 @@ def check_gap_nonnegativity(n_cases=10_000, seed=0):
     rng = stream(seed, 0, 0, _BLOCK)
     per_kind = {}
     for k, (kind, draw) in enumerate(_NONNEG_KINDS.items()):
-        n = _n_of(n_cases, len(_NONNEG_KINDS), k)
+        n = _n_of(_NONNEG_CASES, len(_NONNEG_KINDS), k)
         gaps = np.concatenate(
             [draw(rng, p, m) for p, m in _groups(rng, n, 2, 7)] or [np.empty(0)]
         )
@@ -185,13 +191,13 @@ def check_gap_nonnegativity(n_cases=10_000, seed=0):
         if finite.size:
             per_kind[kind] = float(np.min(finite))
     return {
-        "cases": n_cases,
+        "cases": _NONNEG_CASES,
         "min_gap": min(per_kind.values(), default=np.inf),
         "per_kind": per_kind,
     }
 
 
-def check_theorem1(n_cases=1000, seed=0, admm_tol=1e-9):
+def check_theorem1(seed=0):
     """Distance-to-projection bound: || z - oracle || <= sqrt(2 gap) for
     random feasible perturbations of the oracle pair, both for the l1
     penalty (closed form, even i) and the fused penalty (ADMM oracle, odd
@@ -199,13 +205,13 @@ def check_theorem1(n_cases=1000, seed=0, admm_tol=1e-9):
     rng = stream(seed, 0, 1, _BLOCK)
     worst = -np.inf
     for fused in (False, True):
-        for p, m in _groups(rng, _n_of(n_cases, 2, int(fused)), 2, 7):
+        for p, m in _groups(rng, _n_of(_THEOREM_CASES, 2, int(fused)), 2, 7):
             lam = rng.uniform(0.3, 2.0, m)
             beta = rng.normal(0, 2, (m, p))
             box = lam[:, None]
             if fused:
                 D = _random_chain_diff(p)
-                zhat, _, _, _, dual = _fused_admm(beta, D, lam, tol=admm_tol)
+                zhat, _, _, _, dual = _fused_admm(beta, D, lam, tol=_THM1_TOL)
                 z = zhat + rng.normal(0, 0.3, (m, p))
                 u = np.clip(dual + rng.normal(0, 0.2, (m, p - 1)), -box, box)
                 gap = generalized_l1_duality_gap(D, lam, z, u, beta)
@@ -217,15 +223,15 @@ def check_theorem1(n_cases=1000, seed=0, admm_tol=1e-9):
             radius = np.sqrt(2.0 * np.maximum(gap, 0.0))
             dist = np.linalg.norm(z - zhat, axis=-1)
             worst = max(worst, float(np.max(dist - radius)))
-    return {"cases": n_cases, "worst_violation": worst}
+    return {"cases": _THEOREM_CASES, "worst_violation": worst}
 
 
-def check_theorem2(n_cases=1000, seed=0):
+def check_theorem2(seed=0):
     """KL distance bound: KL(z, projection) <= kl gap for feasible z and
     dual points in the halfspace normal cone; each size is one stack."""
     rng = stream(seed, 0, 2, _BLOCK)
     worst = -np.inf
-    for p, m in _groups(rng, n_cases, 2, 7):
+    for p, m in _groups(rng, _THEOREM_CASES, 2, 7):
         beta = rng.dirichlet(np.full(p, 2.0), m)
         beta = np.maximum(beta, 1e-6)
         beta /= beta.sum(axis=-1, keepdims=True)
@@ -244,10 +250,10 @@ def check_theorem2(n_cases=1000, seed=0):
             terms = z * np.log(z / zhat)
         kl = np.sum(np.where(z > 0, terms, 0.0), axis=-1)
         worst = max(worst, float(np.max(kl - gap)))
-    return {"cases": n_cases, "worst_violation": worst}
+    return {"cases": _THEOREM_CASES, "worst_violation": worst}
 
 
-def _zero_gaps(rng, mode, p, m, admm_tol):
+def _zero_gaps(rng, mode, p, m):
     """Gaps at the oracle optima of m cases of size p in one mode."""
     lam = rng.uniform(0.3, 2.0, m)
     if mode == 2:
@@ -267,11 +273,11 @@ def _zero_gaps(rng, mode, p, m, admm_tol):
         zhat = project_l1_ball(beta, lam)
         return fenchel_young_gap(NormBall("l1", lam), zhat, beta - zhat)
     D = _random_chain_diff(p)
-    zhat, _, _, _, dual = _fused_admm(beta, D, lam, tol=admm_tol)
+    zhat, _, _, _, dual = _fused_admm(beta, D, lam, tol=_ZERO_GAP_TOL)
     return generalized_l1_gap(D, lam, zhat, dual)
 
 
-def check_zero_gap(n_cases=1000, seed=0, admm_tol=1e-8):
+def check_zero_gap(seed=0):
     """Gap at oracle optima: exactly solvable projections certify
     themselves to 1e-8, the ADMM fused oracle to 10x its tolerance.
 
@@ -280,30 +286,31 @@ def check_zero_gap(n_cases=1000, seed=0, admm_tol=1e-8):
     rng = stream(seed, 0, 3, _BLOCK)
     worst = [0.0] * 4
     for mode in range(4):
-        for p, m in _groups(rng, _n_of(n_cases, 4, mode), 2, 7):
-            gaps = _zero_gaps(rng, mode, p, m, admm_tol)
+        for p, m in _groups(rng, _n_of(_THEOREM_CASES, 4, mode), 2, 7):
+            gaps = _zero_gaps(rng, mode, p, m)
             worst[mode] = max(worst[mode], float(np.max(gaps)))
     return {
-        "cases": n_cases,
+        "cases": _THEOREM_CASES,
         "worst_closed_form": max(worst[:3]),
         "worst_admm": worst[3],
-        "admm_tol": admm_tol,
+        "admm_tol": _ZERO_GAP_TOL,
     }
 
 
-def run_gap_check(limits, seed=0, n_nonneg=10_000, n_thm=1000, admm_tol=1e-8):
+def run_gap_check(limits, seed=0):
     """Run all four suites; returns their reports plus an overall verdict
     against limits, the gap_check entries of data/thresholds.json."""
-    nonneg = check_gap_nonnegativity(n_nonneg, seed)
-    thm1 = check_theorem1(n_thm, seed, admm_tol=1e-9)
-    thm2 = check_theorem2(n_thm, seed)
-    zero = check_zero_gap(n_thm, seed, admm_tol=admm_tol)
+    nonneg = check_gap_nonnegativity(seed)
+    thm1 = check_theorem1(seed)
+    thm2 = check_theorem2(seed)
+    zero = check_zero_gap(seed)
     passed = (
         nonneg["min_gap"] >= limits["min_gap"]
         and thm1["worst_violation"] <= limits["theorem1_slack"]
         and thm2["worst_violation"] <= limits["theorem2_slack"]
         and zero["worst_closed_form"] <= limits["zero_gap_closed_form"]
-        and zero["worst_admm"] <= limits["zero_gap_admm_tol_multiple"] * admm_tol
+        and zero["worst_admm"]
+        <= limits["zero_gap_admm_tol_multiple"] * zero["admm_tol"]
     )
     return {
         "nonnegativity": nonneg,

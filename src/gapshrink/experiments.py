@@ -39,6 +39,7 @@ from .samplers import (
     gibbs_matrix_smoothing,
     gibbs_sparse_regression,
 )
+from .samplers.base import CHAIN_IDS
 
 __all__ = [
     "ExperimentConfig",
@@ -49,6 +50,9 @@ __all__ = [
 ]
 
 EXPERIMENT_IDS = ("exp1", "exp2", "exp3", "gap-check")
+
+# replication r of an experiment with n chains runs chain ids n*r .. n*r+n-1
+_CHAINS_PER_REP = {"exp1": 3, "exp2": 1, "exp3": 1}
 
 
 def load_thresholds():
@@ -72,6 +76,10 @@ class ExperimentConfig:
             raise ValueError(f"experiment must be one of {EXPERIMENT_IDS}")
         if self.replications < 1:
             raise ValueError("replications must be at least 1")
+        n = _CHAINS_PER_REP.get(self.experiment, 0)
+        if n * self.replications > CHAIN_IDS:
+            raise ValueError(f"{self.experiment} allows at most "
+                             f"{CHAIN_IDS // n} replications")
 
 
 @dataclass
@@ -144,7 +152,8 @@ def _exp1_rep(payload):
     X, y, theta0 = gen_sparse_regression(data_seed + rep, **data_kwargs)
     out = {"rep": rep, "theta0_nonzero_idx": np.flatnonzero(theta0).tolist()}
 
-    gap = gibbs_sparse_regression(X, y, replace(sampler, chain_id=3 * rep))
+    first = _CHAINS_PER_REP["exp1"] * rep
+    gap = gibbs_sparse_regression(X, y, replace(sampler, chain_id=first))
     gm = _sparse_metrics(gap, theta0, limits)
     curve = _pooled_median_acf(gap.columns("theta_"), limits["acf_lag"])
     gm["median_acf_at_lag"] = float(curve[-1])
@@ -161,10 +170,10 @@ def _exp1_rep(payload):
     gm["mean_gap"] = float(np.mean(gap_vals))
     gm["min_gap"] = float(np.min(gap_vals))
 
-    lasso = gibbs_bayesian_lasso(X, y, replace(sampler, chain_id=3 * rep + 1))
+    lasso = gibbs_bayesian_lasso(X, y, replace(sampler, chain_id=first + 1))
     lm = _sparse_metrics(lasso, theta0, limits)
 
-    gdp = gibbs_gdp(X, y, replace(sampler, chain_id=3 * rep + 2))
+    gdp = gibbs_gdp(X, y, replace(sampler, chain_id=first + 2))
     dm = _sparse_metrics(gdp, theta0, limits)
 
     out["gap_shrinkage"] = gm
@@ -410,7 +419,7 @@ def run_experiment(config, exp3_gen_kwargs=None):
                 {
                     "rep": rep,
                     "model": label,
-                    "wall_seconds": samples.meta["wall_seconds"],
+                    "wall_seconds": samples.wall_seconds,
                 }
             )
         plot_fn(out, rep, chains, summaries)

@@ -195,13 +195,17 @@ def kl_gap(beta, z, u, c0="free"):
     return _result(gap)
 
 
-def variational_additive_gap(parts, z, v, beta, tol=1e-10):
+_SPLIT_TOL = 1e-10
+
+
+def variational_additive_gap(parts, z, v, beta):
     """Variational gap sum_j g_j*(v_j) + g(z) - (sum_j v_j)^T z.
 
     parts are summand penalties with tractable conjugates; v holds one dual
     point per part.  Requires z = beta - sum_j v_j to per-coordinate
-    tolerance (the splitting identity), in every case of a stack; dominates
-    the Fenchel-Young gap of the Sum penalty at u = sum_j v_j.
+    tolerance _SPLIT_TOL (the splitting identity), in every case of a
+    stack; dominates the Fenchel-Young gap of the Sum penalty at
+    u = sum_j v_j.
     """
     z, beta = _vectors(z, beta)
     vs = [np.asarray(vj, dtype=float) for vj in v]
@@ -211,9 +215,9 @@ def variational_additive_gap(parts, z, v, beta, tol=1e-10):
         raise DimensionError("dual point shape mismatch")
     v_total = sum(vs, np.zeros_like(z))
     deviation = np.max(np.abs(beta - v_total - z), initial=0.0)
-    if deviation > tol:
+    if deviation > _SPLIT_TOL:
         raise ContractViolationError(
-            f"z != beta - sum(v) beyond tolerance {tol:g} "
+            f"z != beta - sum(v) beyond tolerance {_SPLIT_TOL:g} "
             f"(max deviation {deviation:.3e})"
         )
     conj = sum(conjugate_value(part, vj) for part, vj in zip(parts, vs))

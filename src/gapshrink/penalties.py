@@ -184,9 +184,10 @@ class GroupL2(_Penalty):
     """Indicator of the intersection of per-group l2 balls.
 
     groups is a tuple of index tuples; radii matches it elementwise, one
-    per-case parameter per group.  Only partitions (disjoint groups) admit
-    a closed-form support function, the sum of radius * ||u_group||_2;
-    for overlapping covers use the variational additive gap instead.
+    per-case parameter per group.  Only partitions of the indices
+    0..dim-1 (disjoint groups that cover every index) admit a closed-form
+    support function, the sum of radius * ||u_group||_2; for overlapping
+    covers use the variational additive gap instead.
     """
 
     groups: tuple
@@ -197,7 +198,12 @@ class GroupL2(_Penalty):
         self.radii = tuple(_case_param(r, "radii") for r in self.radii)
         if len(self.groups) != len(self.radii):
             raise ValueError("groups and radii length mismatch")
-        self.dim = (max(i for g in self.groups for i in g) + 1,)
+        indices = [i for g in self.groups for i in g]
+        if not indices:
+            raise ValueError("a group ball needs at least one index")
+        if min(indices) < 0:
+            raise ValueError("group indices must be nonnegative")
+        self.dim = (max(indices) + 1,)
 
     def params(self):
         return self.radii
@@ -213,10 +219,16 @@ class GroupL2(_Penalty):
         return out
 
     def conjugate(self, u):
-        if sorted(i for g in self.groups for i in g) != list(range(self.dim[0])):
+        indices = [i for g in self.groups for i in g]
+        if len(set(indices)) < len(indices):
             raise UnsupportedPenaltyError(
                 "support function of overlapping group balls is not "
                 "separable; use the variational additive gap"
+            )
+        if len(indices) < self.dim[0]:
+            missing = sorted(set(range(self.dim[0])) - set(indices))
+            raise UnsupportedPenaltyError(
+                f"indices {missing} lie in no group; list each index once"
             )
         return sum(r * norm for norm, r in zip(self._group_norms(u), self.radii))
 

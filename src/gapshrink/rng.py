@@ -115,13 +115,18 @@ def inverse_gaussian(mu, lam, rng):
     return np.where(flip, mu * mu / x, x)
 
 
+# step-out budget of slice_sample_1d, in widths, split between the two ends
+_MAX_STEPOUT = 256
+
+
 def slice_sample_1d(logf, x0, width, rng, bounds=(-math.inf, math.inf),
-                    max_stepout=256, max_shrink=2000):
+                    max_shrink=2000):
     """One stepping-out-and-shrink slice update leaving exp(logf) invariant.
 
     bounds clip both the initial bracket and the step-out walk, so regions
-    outside them are never proposed.  When the step-out budget binds, the
-    randomized left/right split keeps the capped walk reversible.
+    outside them are never proposed.  When the step-out budget of
+    _MAX_STEPOUT widths binds, the randomized left/right split keeps the
+    capped walk reversible.
     Raises NumericError when max_shrink shrinks find no point in the slice.
     """
     lo, hi = bounds
@@ -137,8 +142,8 @@ def slice_sample_1d(logf, x0, width, rng, bounds=(-math.inf, math.inf),
     left = max(left, lo)
     right = min(right, hi)
 
-    j = int(math.floor(max_stepout * rng.uniform()))
-    k = max_stepout - 1 - j
+    j = int(math.floor(_MAX_STEPOUT * rng.uniform()))
+    k = _MAX_STEPOUT - 1 - j
     while j > 0 and left > lo and logf(left) > logy:
         left = max(left - width, lo)
         j -= 1

@@ -5,9 +5,7 @@ inverse-gamma draw and the slice move on a box strength."""
 
 from __future__ import annotations
 
-import hashlib
-import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from types import MappingProxyType
 
 import numpy as np
@@ -18,6 +16,7 @@ from ..errors import NumericError
 from ..rng import inverse_gaussian, slice_sample_1d
 
 __all__ = [
+    "CHAIN_IDS",
     "SamplerConfig",
     "PosteriorSamples",
     "HYPERPRIORS",
@@ -28,6 +27,9 @@ __all__ = [
     "box_strength_logpdf",
     "box_strength_step",
 ]
+
+# rng.stream keys 16 bits of the chain id, so chain CHAIN_IDS replays chain 0
+CHAIN_IDS = 1 << 16
 
 # floor on mixture rates and on |x|, so no inverse-Gaussian mean is 0 or inf
 _EPS_ABS = 1e-8
@@ -59,37 +61,28 @@ class SamplerConfig:
     retain: int = 1000
     seed: int = 0
     alpha: float = 1000.0
-    thinning: int = 1
     chain_id: int = 0
     rank: int = 5
-    random_intercept: bool = False
 
     def __post_init__(self):
         if self.warmup < 1 or self.retain < 1:
             raise ValueError("warmup and retain must be at least 1")
-        if not 1 <= self.thinning <= self.retain:
-            raise ValueError("thinning must be between 1 and retain")
         if self.alpha <= 0:
             raise ValueError("alpha must be positive")
-        # rng.stream keys 16 bits of the chain id; 65536 would replay chain 0
-        if not 0 <= self.chain_id <= 65535:
-            raise ValueError("chain_id must be between 0 and 65535")
+        if not 0 <= self.chain_id < CHAIN_IDS:
+            raise ValueError(f"chain_id must be between 0 and {CHAIN_IDS - 1}")
         if self.rank < 1:
             raise ValueError("rank must be at least 1")
-
-    def digest(self):
-        return hashlib.sha256(
-            json.dumps(asdict(self), sort_keys=True).encode()
-        ).hexdigest()[:16]
 
 
 @dataclass
 class PosteriorSamples:
-    """Retained draws as a (iterations x parameters) matrix with labels."""
+    """Retained draws as a (iterations x parameters) matrix with labels,
+    and the chain's wall-clock seconds."""
 
     draws: np.ndarray
     names: list
-    meta: dict
+    wall_seconds: float
 
     def __post_init__(self):
         self.draws = np.atleast_2d(np.asarray(self.draws, dtype=float))

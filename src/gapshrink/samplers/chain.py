@@ -1,6 +1,6 @@
-"""The chain driver shared by every Gibbs sampler: sweep loop, warmup and
-thinning, the retained-draws matrix, the state check at each kept draw, and
-the labels and metadata of the output."""
+"""The chain driver shared by every Gibbs sampler: sweep loop, warmup, the
+retained-draws matrix, the state check at each kept draw, and the labels
+and wall time of the output."""
 
 from __future__ import annotations
 
@@ -41,24 +41,20 @@ def _labels(values):
     return names
 
 
-def run_chain(config, step, record, model, **meta):
-    """Run config.warmup + config.retain sweeps and keep every
-    config.thinning-th retained one.
+def run_chain(config, step, record):
+    """Run config.warmup + config.retain sweeps and keep every retained one.
 
     step(sweep) advances the chain's state through sweep number
     sweep = 1, 2, ...; the state lives with the sampler, which keys its block
     streams by that number.  record() returns (values, duals, scales) for
     the current state: the recorded values by name, in column order, and
     the arguments of check_state.  The first kept record fixes the column
-    labels.  meta holds the model's own entries, appended to the common
-    ones.
+    labels.
 
     A NumericError raised by step is re-raised naming its seed, chain and
     sweep; the streams are keyed by that coordinate, so it replays exactly.
     """
-    kept = config.retain // config.thinning
     draws = names = None
-    row = 0
     t0 = time.perf_counter()
     for sweep in range(1, config.warmup + config.retain + 1):
         try:
@@ -68,22 +64,12 @@ def run_chain(config, step, record, model, **meta):
                 f"{exc} (seed {config.seed}, chain {config.chain_id}, "
                 f"sweep {sweep})"
             ) from exc
-        k = sweep - config.warmup - 1
-        if k >= 0 and k % config.thinning == 0 and row < kept:
+        row = sweep - config.warmup - 1
+        if row >= 0:
             values, duals, scales = record()
             check_state(duals, scales)
             if names is None:
                 names = _labels(values)
-                draws = np.empty((kept, len(names)))
+                draws = np.empty((config.retain, len(names)))
             draws[row] = np.concatenate([np.ravel(v) for v in values.values()])
-            row += 1
-    common = {
-        "model": model,
-        "seed": config.seed,
-        "chain_id": config.chain_id,
-        "config_digest": config.digest(),
-        "wall_seconds": time.perf_counter() - t0,
-        "warmup": config.warmup,
-        "retain": config.retain,
-    }
-    return PosteriorSamples(draws, names, {**common, **meta})
+    return PosteriorSamples(draws, names, time.perf_counter() - t0)

@@ -96,7 +96,7 @@ def gibbs_bayesian_lasso(X, y, config):
     def record():
         return {"theta": theta, "lam": lam, "sigma2": sigma2}, {}, {}
 
-    return run_chain(config, step, record, "bayesian_lasso")
+    return run_chain(config, step, record)
 
 
 def gibbs_gdp(X, y, config):
@@ -141,4 +141,4 @@ def gibbs_gdp(X, y, config):
     def record():
         return {"theta": theta, "sigma2": sigma2}, {}, {}
 
-    return run_chain(config, step, record, "gdp")
+    return run_chain(config, step, record)

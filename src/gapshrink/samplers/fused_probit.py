@@ -17,12 +17,7 @@ import numpy as np
 
 from ..priors import _KERNEL_VAR, complete_graph
 from ..rng import slice_sample_1d, stream, truncated_normal
-from .base import (
-    HYPERPRIORS,
-    gaussian_draw,
-    inverse_gamma,
-    laplace_mixture_precision,
-)
+from .base import HYPERPRIORS, gaussian_draw, laplace_mixture_precision
 from .chain import run_chain
 
 __all__ = [
@@ -37,7 +32,9 @@ __all__ = [
     "edge_dual_sweep",
 ]
 
-_LATENT, _SCALES, _THETA, _DUAL, _RHO, _OMEGA, _INTERCEPT, _INIT = range(8)
+_LATENT, _SCALES, _THETA, _DUAL, _RHO, _OMEGA = range(6)
+# the stream ids key the draws: a new _INIT id would change every exp3 chain
+_INIT = 7
 
 
 def rho_conditional_logpdf(x, sum_w_absdiff, sum_w_vunit_d, theta, q_unit,
@@ -153,11 +150,10 @@ def edge_dual_sweep(v, anchor, d, w, edges, classes, rho, alpha, rng):
 def gibbs_fused_probit(Y, X, taxonomy, config):
     """Run one chain; returns draws of (theta, v, rho, omega_cross).
 
-    taxonomy partitions the categories into groups; an optional scalar
-    random intercept per observation absorbs shared row effects when
-    config.random_intercept is set.  Sweep order: probit latents, fused
-    scale mixtures, theta columns (blocked Gaussian), dual entries (one
-    truncated-normal block per edge class), rho and omega_cross (slice).
+    taxonomy partitions the categories into groups.  Sweep order: probit
+    latents, fused scale mixtures, theta columns (blocked Gaussian), dual
+    entries (one truncated-normal block per edge class), rho and
+    omega_cross (slice).
     """
     Y = np.asarray(Y)
     X = np.asarray(X, dtype=float)
@@ -177,7 +173,6 @@ def gibbs_fused_probit(Y, X, taxonomy, config):
     n_edges = graph.n_edges
 
     alpha = config.alpha
-    a_tau, b_tau = HYPERPRIORS["sigma2"]
     seed, chain = config.seed, config.chain_id
 
     # kernel scale 10 shrunk by 0.1 gives unit-scale starting coefficients
@@ -186,8 +181,6 @@ def gibbs_fused_probit(Y, X, taxonomy, config):
     inv_s = np.ones((n_edges, p))
     rho = 1.0
     omega = 0.5
-    gamma = np.zeros(n)
-    tau2 = 1.0
 
     x2 = np.sum(X * X, axis=0)
     y_pos = Y.astype(bool)
@@ -200,12 +193,11 @@ def gibbs_fused_probit(Y, X, taxonomy, config):
     z = None
 
     def step(sweep):
-        nonlocal M, z, v, inv_s, rho, omega, gamma, tau2
+        nonlocal M, z, v, inv_s, rho, omega
         w = graph.weights(omega)
 
         rng = stream(seed, chain, sweep, _LATENT)
-        mu = M + gamma[:, None]
-        z = truncated_normal(mu, 1.0, lo, hi, rng)
+        z = truncated_normal(M, 1.0, lo, hi, rng)
 
         rng = stream(seed, chain, sweep, _SCALES)
         d = B @ theta
@@ -213,9 +205,8 @@ def gibbs_fused_probit(Y, X, taxonomy, config):
 
         rng = stream(seed, chain, sweep, _THETA)
         q = B.T @ (w[:, None] * v)
-        centered = z - gamma[:, None]
         for k in range(p):
-            resid = centered - M + np.outer(X[:, k], theta[:, k])
+            resid = z - M + np.outer(X[:, k], theta[:, k])
             prec = B.T @ (inv_s[:, k, None] * B)
             prec[np.diag_indices_from(prec)] += x2[k] + 1.0 / _KERNEL_VAR
             lin = X[:, k] @ resid + (alpha - 1.0 / _KERNEL_VAR) * q[:, k]
@@ -248,20 +239,8 @@ def gibbs_fused_probit(Y, X, taxonomy, config):
             alpha, rng,
         )
 
-        if config.random_intercept:
-            rng = stream(seed, chain, sweep, _INTERCEPT)
-            prec_g = m + 1.0 / tau2
-            mean_g = np.sum(z - M, axis=1) / prec_g
-            gamma = mean_g + rng.standard_normal(n) / np.sqrt(prec_g)
-            shape = a_tau + 0.5 * n
-            rate_t = b_tau + 0.5 * float(gamma @ gamma)
-            tau2 = inverse_gamma(shape, rate_t, rng)
-
     def record():
         values = {"theta": theta, "v": v, "rho": rho, "omega_cross": omega}
-        if config.random_intercept:
-            values["tau2"] = tau2
-        return values, {"v": (v, rho)}, {"inv_s": inv_s, "tau2": tau2}
+        return values, {"v": (v, rho)}, {"inv_s": inv_s}
 
-    return run_chain(config, step, record, "gap_fused_probit",
-                     alpha=alpha, n_edges=n_edges)
+    return run_chain(config, step, record)

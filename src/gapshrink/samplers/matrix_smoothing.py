@@ -176,5 +176,4 @@ def gibbs_matrix_smoothing(Y, config):
         }
         return values, {"V2": (V2, lam2)}, {"inv_s": inv_s}
 
-    return run_chain(config, step, record, "gap_matrix_smoothing",
-                     alpha=alpha, rank=r)
+    return run_chain(config, step, record)

@@ -112,4 +112,4 @@ def gibbs_sparse_regression(X, y, config):
         values = {"theta": theta, "u": u, "lam": lam, "sigma2": sigma2}
         return values, {"u": (u, lam)}, {"inv_s": inv_s, "inv_w": inv_w}
 
-    return run_chain(config, step, record, "gap_sparse_regression", alpha=alpha)
+    return run_chain(config, step, record)

@@ -63,7 +63,7 @@ def report(num, passed, detail):
 class TestCriterion1GapNonnegativity:
     def test_randomized_weak_duality(self):
         t0 = time.perf_counter()
-        res = check_gap_nonnegativity(10_000, seed=0)
+        res = check_gap_nonnegativity(seed=0)
         elapsed = time.perf_counter() - t0
         ok = res["min_gap"] >= THRESHOLDS["gap_check"]["min_gap"] and elapsed < 5.0
         report(1, ok, f"min gap {res['min_gap']:.3e} over 1e4 cases in {elapsed:.1f}s")
@@ -72,7 +72,7 @@ class TestCriterion1GapNonnegativity:
 class TestCriterion2Theorem1:
     def test_distance_bound_certification(self):
         t0 = time.perf_counter()
-        res = check_theorem1(1000, seed=0)
+        res = check_theorem1(seed=0)
         elapsed = time.perf_counter() - t0
         ok = (
             res["worst_violation"] <= THRESHOLDS["gap_check"]["theorem1_slack"]
@@ -84,7 +84,7 @@ class TestCriterion2Theorem1:
 class TestCriterion3Theorem2:
     def test_kl_bound_certification(self):
         t0 = time.perf_counter()
-        res = check_theorem2(1000, seed=0)
+        res = check_theorem2(seed=0)
         elapsed = time.perf_counter() - t0
         ok = (
             res["worst_violation"] <= THRESHOLDS["gap_check"]["theorem2_slack"]
@@ -95,8 +95,9 @@ class TestCriterion3Theorem2:
 
 class TestCriterion4ZeroGap:
     def test_oracle_optima_certify_themselves(self):
-        admm_tol = 1e-8
-        res = check_zero_gap(1000, seed=0, admm_tol=admm_tol)
+        res = check_zero_gap(seed=0)
+        admm_tol = res["admm_tol"]
+        assert (res["cases"], admm_tol) == (1000, 1e-8)
         g = THRESHOLDS["gap_check"]
         ok = (
             res["worst_closed_form"] <= g["zero_gap_closed_form"]

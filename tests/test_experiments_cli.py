@@ -107,6 +107,17 @@ class TestRunExperiment:
         with pytest.raises(ValueError):
             ExperimentConfig(experiment="exp9")
 
+    @pytest.mark.parametrize("experiment, most", [
+        ("exp1", 21845), ("exp2", 65536), ("exp3", 65536),
+    ])
+    def test_replications_bounded_by_chain_ids(self, experiment, most):
+        # exp1 runs chain ids 3r..3r+2 for replication r, exp2 and exp3
+        # chain id r, and chain ids stop at 65535; a larger count must fail
+        # before any replication runs
+        assert ExperimentConfig(experiment, replications=most).replications == most
+        with pytest.raises(ValueError, match=f"at most {most} replications"):
+            ExperimentConfig(experiment, replications=most + 1)
+
 
 class TestPooledAcf:
     def test_curve_matches_per_lag_medians(self):
