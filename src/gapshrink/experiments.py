@@ -91,8 +91,18 @@ class RunReport:
 
 
 def _n_workers(n_tasks):
+    """Worker count for n_tasks: GAPSHRINK_THREADS (an integer >= 1) when
+    set and nonempty, else the core count, never above n_tasks."""
     env = os.environ.get("GAPSHRINK_THREADS")
-    cap = int(env) if env else (os.cpu_count() or 1)
+    if env:
+        try:
+            cap = int(env)
+        except ValueError:
+            cap = 0
+        if cap < 1:
+            raise ValueError(f"GAPSHRINK_THREADS must be an integer >= 1, got {env!r}")
+    else:
+        cap = os.cpu_count() or 1
     return max(1, min(cap, n_tasks))
 
 

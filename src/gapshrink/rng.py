@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import log_ndtr, ndtr, ndtri, ndtri_exp
 
 from .errors import NumericError
 
@@ -45,6 +44,8 @@ _TAIL = 5.0
 def _tail_inverse(a, b, u):
     """Standard-normal draws on (a, b) with a >= _TAIL via the log-space
     complementary CDF, exact however deep or narrow the interval."""
+    from scipy.special import log_ndtr, ndtri_exp
+
     la = log_ndtr(-a)
     lb = log_ndtr(-b)
     ratio = np.exp(np.minimum(lb - la, 0.0))
@@ -60,6 +61,10 @@ def truncated_normal(mu, sigma, lo, hi, rng):
     inverse stays exact (a rejection scheme stalls on narrow far-tail
     intervals, which the samplers do produce).
     """
+    # imported here: scipy.special takes about 0.3 s to load, and neither
+    # importing the package nor gap-check draws a truncated normal
+    from scipy.special import ndtr, ndtri
+
     mu, sigma, lo, hi = np.broadcast_arrays(
         np.asarray(mu, dtype=float),
         np.asarray(sigma, dtype=float),

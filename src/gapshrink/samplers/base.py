@@ -9,8 +9,6 @@ from dataclasses import dataclass
 from types import MappingProxyType
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
-from scipy.linalg.blas import dgemv, dsyrk
 
 from ..errors import NumericError
 from ..rng import inverse_gaussian, slice_sample_1d
@@ -151,6 +149,11 @@ def regression_theta_sampler(X, y):
     draw raises NumericError when the system is not positive definite or
     the draw is not finite.
     """
+    # imported here, once per chain, and bound in draw: scipy.linalg takes
+    # about 0.25 s to load, which only regression chains need
+    from scipy.linalg import LinAlgError, cho_factor, cho_solve
+    from scipy.linalg.blas import dgemv, dsyrk
+
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     n, p = X.shape

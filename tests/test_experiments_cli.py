@@ -184,6 +184,20 @@ class TestWorkerPool:
         monkeypatch.delenv("GAPSHRINK_THREADS")
         assert _n_workers(1) == 1
 
+    def test_env_one_runs_serially(self, monkeypatch):
+        from gapshrink.experiments import _n_workers
+
+        monkeypatch.setenv("GAPSHRINK_THREADS", "1")
+        assert _n_workers(10) == 1
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-3", "1.5", " "])
+    def test_env_must_be_positive_integer(self, monkeypatch, value):
+        from gapshrink.experiments import _n_workers
+
+        monkeypatch.setenv("GAPSHRINK_THREADS", value)
+        with pytest.raises(ValueError, match="GAPSHRINK_THREADS"):
+            _n_workers(10)
+
     def test_parallel_matches_serial(self, tmp_path, monkeypatch):
         outs = {}
         for label, threads in (("serial", "1"), ("pool", "2")):
@@ -197,6 +211,30 @@ class TestWorkerPool:
             run_experiment(cfg)
             outs[label] = (tmp_path / label / "exp1" / "report.json").read_bytes()
         assert outs["serial"] == outs["pool"]
+
+
+class TestStartup:
+    def test_gap_check_loads_no_scipy(self, fresh_python, tmp_path):
+        # scipy loads on the first truncated-normal or regression-theta
+        # draw, so importing the package and gap-check run on numpy alone
+        code = (
+            "import sys\n"
+            "import numpy as np\n"
+            "import gapshrink, gapshrink.cli\n"
+            "code = gapshrink.cli.main(['gap-check', '--out', sys.argv[1]])\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+            "print(code)\n"
+            "from gapshrink.rng import stream, truncated_normal\n"
+            "from gapshrink.samplers.base import regression_theta_sampler\n"
+            "x = truncated_normal(0.0, 1.0, [-1.0, 6.0, -9.0],\n"
+            "                     [1.0, np.inf, -8.0], stream(0))\n"
+            "g = stream(1)\n"
+            "X, y = g.standard_normal((6, 9)), g.standard_normal(6)\n"
+            "theta = regression_theta_sampler(X, y)(1.0, np.ones(9), 0.0, g)\n"
+            "print(bool(np.all(np.isfinite(x))), bool(np.all(np.isfinite(theta))))\n"
+        )
+        out = fresh_python(code, str(tmp_path))
+        assert out[-4:-1] == ["[]", "0", "True True"]
 
 
 class TestCLI:

@@ -1,13 +1,7 @@
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-import gapshrink
 from gapshrink.priors import (
     EdgeGraph,
     complete_graph,
@@ -142,7 +136,7 @@ class TestMarginalPrior:
         # gap factor is identically 1 at theta = 0, leaving the Cauchy mass
         assert marginal_l1_prior(0.0, 1.0, 1.0) == pytest.approx(np.pi / 2, rel=1e-8)
 
-    def test_import_leaves_quadrature_stack_unloaded(self):
+    def test_import_leaves_quadrature_stack_unloaded(self, fresh_python):
         # scipy.integrate (with scipy.optimize and scipy.sparse) loads only
         # when the quadrature marginal is first called
         code = (
@@ -152,16 +146,7 @@ class TestMarginalPrior:
             "v = gapshrink.marginal_l1_prior(0, 1, 1)\n"
             "print(abs(v - math.pi / 2) <= 1e-8 * math.pi / 2)\n"
         )
-        src = str(Path(gapshrink.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (src, env.get("PYTHONPATH")) if p
-        )
-        out = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True,
-            text=True, check=True, timeout=120,
-        )
-        assert out.stdout.split("\n")[:2] == ["[]", "True"]
+        assert fresh_python(code)[:2] == ["[]", "True"]
 
     def test_tail_lower_bound(self):
         for theta in (5.0, 10.0, 20.0, 40.0):
