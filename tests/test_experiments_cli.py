@@ -181,14 +181,10 @@ class TestWorkerPool:
         monkeypatch.setenv("GAPSHRINK_THREADS", "3")
         assert _n_workers(10) == 3
         assert _n_workers(2) == 2
-        monkeypatch.delenv("GAPSHRINK_THREADS")
-        assert _n_workers(1) == 1
-
-    def test_env_one_runs_serially(self, monkeypatch):
-        from gapshrink.experiments import _n_workers
-
         monkeypatch.setenv("GAPSHRINK_THREADS", "1")
         assert _n_workers(10) == 1
+        monkeypatch.delenv("GAPSHRINK_THREADS")
+        assert _n_workers(1) == 1
 
     @pytest.mark.parametrize("value", ["abc", "0", "-3", "1.5", " "])
     def test_env_must_be_positive_integer(self, monkeypatch, value):
