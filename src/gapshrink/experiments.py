@@ -4,8 +4,9 @@ An experiment is a replication function (_exp1_rep, _exp2_rep, _exp3_rep),
 a plot function, the columns of its chain CSV and a verdict across
 replications; run_experiment looks all four up in one table.  A
 replication takes the payload (rep, data_seed, sampler, limits,
-data_kwargs), draws its data from seed data_seed + rep, runs its samplers
-and returns (metrics, chains, summaries).
+data_kwargs), draws its data from seed data_seed + rep (only exp3's
+generator takes data_kwargs; exp1 and exp2 data have fixed sizes), runs
+its samplers and returns (metrics, chains, summaries).
 
 run_experiment fans the replications across a worker pool (capped by the
 GAPSHRINK_THREADS environment variable) and writes one headered CSV of
@@ -69,7 +70,6 @@ class ExperimentConfig:
     sampler: SamplerConfig = field(default_factory=SamplerConfig)
     data_seed: int = 2024
     out_dir: str = "runs"
-    thresholds: dict = field(default_factory=load_thresholds)
 
     def __post_init__(self):
         if self.experiment not in EXPERIMENT_IDS:
@@ -158,8 +158,8 @@ def _sparse_metrics(samples, theta0, limits):
 
 
 def _exp1_rep(payload):
-    rep, data_seed, sampler, limits, data_kwargs = payload
-    X, y, theta0 = gen_sparse_regression(data_seed + rep, **data_kwargs)
+    rep, data_seed, sampler, limits, _ = payload
+    X, y, theta0 = gen_sparse_regression(data_seed + rep)
     out = {"rep": rep, "theta0_nonzero_idx": np.flatnonzero(theta0).tolist()}
 
     first = _CHAINS_PER_REP["exp1"] * rep
@@ -204,8 +204,8 @@ def _exp1_rep(payload):
 
 
 def _exp2_rep(payload):
-    rep, data_seed, sampler, limits, data_kwargs = payload
-    Y, theta0 = gen_lowrank_sparse(data_seed + rep, **data_kwargs)
+    rep, data_seed, sampler, limits, _ = payload
+    Y, theta0 = gen_lowrank_sparse(data_seed + rep)
     samples = gibbs_matrix_smoothing(Y, replace(sampler, chain_id=rep))
 
     sv_cols = samples.columns("sv_")
@@ -393,7 +393,7 @@ def run_experiment(config, exp3_gen_kwargs=None):
     """
     out = Path(config.out_dir) / config.experiment
     out.mkdir(parents=True, exist_ok=True)
-    limits = config.thresholds[config.experiment.replace("-", "_")]
+    limits = load_thresholds()[config.experiment.replace("-", "_")]
 
     if config.experiment == "gap-check":
         result = run_gap_check(limits, seed=config.sampler.seed)

@@ -159,13 +159,12 @@ def generalized_l1_duality_gap(D, lam, z, u, beta):
     return _result(np.where(infeasible, np.inf, gap))
 
 
-def kl_gap(beta, z, u, c0="free"):
+def kl_gap(beta, z, u, c0):
     """Gap of the KL projection onto C0 intersected with the simplex.
 
-    KL(z, beta) + log(sum_j beta_j exp(-u_j)) + sigma_C0(u), where the
-    support term comes from the constraint set: "free" means the whole
-    space (finite only at u = 0), otherwise a Halfspace or ball indicator,
-    whose conjugate is sigma_C0; +inf when z falls outside C0.
+    KL(z, beta) + log(sum_j beta_j exp(-u_j)) + sigma_C0(u), where C0 is a
+    Halfspace or ball indicator, whose conjugate is the support function
+    sigma_C0; +inf when z falls outside C0.
     """
     beta = as_simplex(beta)
     z = as_simplex(z)
@@ -175,14 +174,10 @@ def kl_gap(beta, z, u, c0="free"):
     if np.any(beta <= 0.0):
         raise ValueError("beta must be strictly positive")
 
-    if c0 == "free":
-        sigma = np.where(np.any(u != 0.0, axis=-1), np.inf, 0.0)
-        inside = True
-    elif isinstance(c0, (Halfspace, NormBall, GroupL2)):
-        sigma = conjugate_value(c0, u)
-        inside = np.isfinite(penalty_value(c0, z))
-    else:
+    if not isinstance(c0, (Halfspace, NormBall, GroupL2)):
         raise UnsupportedPenaltyError(f"unsupported constraint set {c0!r}")
+    sigma = conjugate_value(c0, u)
+    inside = np.isfinite(penalty_value(c0, z))
 
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = z * np.log(z / beta)
@@ -228,28 +223,24 @@ def variational_additive_gap(parts, z, v, beta):
 def variational_nuclear_gap(A, B, u, lam1, lam2):
     """Variational gap for the nuclear + elementwise-l1 proximal mapping.
 
-    With theta = A B^T:
+    With theta = A B^T and the dual pair u = (V1, V2):
         lam1/2 (||A||_F^2 + ||B||_F^2) + lam2 ||theta||_1 - <V1 + V2, theta>.
-    u may be the summed dual V1 + V2 or the pair (V1, V2); when the pair is
-    given, |V2| entries must not exceed lam2 and V1 must satisfy the
-    operator-norm bound (automatic under the lam1 = ||V1||_F coupling).
-    The factorization identity min 0.5(||A||^2 + ||B||^2) over A B^T = theta
-    equals ||theta||_*, so this dominates the exact Fenchel-Young gap.
+    +inf off the feasible set: when an entry of |V2| exceeds lam2, or V1
+    breaks the operator-norm bound lam1 (never under the lam1 = ||V1||_F
+    coupling).  The factorization identity min 0.5(||A||^2 + ||B||^2)
+    over A B^T = theta equals ||theta||_*, so this dominates the exact
+    Fenchel-Young gap.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     B = np.atleast_2d(np.asarray(B, dtype=float))
     if A.shape[1] != B.shape[1]:
         raise DimensionError("A and B disagree on the factor rank")
-    if isinstance(u, tuple):
-        V1 = np.asarray(u[0], dtype=float)
-        V2 = np.asarray(u[1], dtype=float)
-        if V2.size and np.max(np.abs(V2)) > lam2 + 1e-12:
-            return np.inf
-        if conjugate_value(Nuclear(lam1, V1.shape), V1) == np.inf:
-            return np.inf
-        V = V1 + V2
-    else:
-        V = np.asarray(u, dtype=float)
+    V1, V2 = (np.asarray(v, dtype=float) for v in u)
+    if V2.size and np.max(np.abs(V2)) > lam2 + 1e-12:
+        return np.inf
+    if conjugate_value(Nuclear(lam1, V1.shape), V1) == np.inf:
+        return np.inf
+    V = V1 + V2
     theta = A @ B.T
     if V.shape != theta.shape:
         raise DimensionError("dual matrix does not match A B^T")

@@ -88,7 +88,12 @@ def project_l1_ball(beta, r):
     return np.where(np.sum(a, axis=-1, keepdims=True) <= r, beta, projected)
 
 
-def _fused_admm(beta, D, lam, tol=1e-8, max_iter=100_000):
+# iteration budgets of the fused ADMM and of the KL projection's Newton search
+_ADMM_MAX_ITER = 100_000
+_KL_MAX_ITER = 200
+
+
+def _fused_admm(beta, D, lam, tol=1e-8):
     """The ADMM behind prox_fused, on a stack of cases sharing D.
 
     Returns (solution, objective, iterations, residual, dual) over the case
@@ -134,7 +139,7 @@ def _fused_admm(beta, D, lam, tol=1e-8, max_iter=100_000):
     w = _matvec(D, b)
     y = np.zeros((idx.size, d))
     res = np.full(idx.size, np.inf)
-    for it in range(1, max_iter + 1):
+    for it in range(1, _ADMM_MAX_ITER + 1):
         if idx.size == 0:
             break
         z = z_beta + _matvec(G, w - y)
@@ -178,10 +183,10 @@ def _fused_admm(beta, D, lam, tol=1e-8, max_iter=100_000):
             z_beta[moved], G[moved] = factor(rho[moved], b[moved])
     if idx.size:
         raise ConvergenceError(
-            f"ADMM did not reach tol={tol:g} in {max_iter} iterations "
+            f"ADMM did not reach tol={tol:g} in {_ADMM_MAX_ITER} iterations "
             f"on {idx.size} of {k} cases",
             residual=float(np.max(res)),
-            iterations=max_iter,
+            iterations=_ADMM_MAX_ITER,
         )
     return (
         z_out.reshape(beta.shape),
@@ -192,7 +197,7 @@ def _fused_admm(beta, D, lam, tol=1e-8, max_iter=100_000):
     )
 
 
-def prox_fused(beta, D, lam, tol=1e-8, max_iter=100_000):
+def prox_fused(beta, D, lam, tol=1e-8):
     """ADMM solve of min_z 0.5 ||z - beta||^2 + lam ||D z||_1.
 
     Splits D z = w with scaled dual y; the penalty parameter starts at 1.0
@@ -200,16 +205,15 @@ def prox_fused(beta, D, lam, tol=1e-8, max_iter=100_000):
     tenfold.  The z-update's system I + rho D'D is inverted once per value
     of rho (Boyd et al. 2011, sec. 4.2), so each iteration applies it with
     one matrix-vector product.  Stops when max(primal, dual residual) <=
-    tol; raises after max_iter with the last residual attached.
+    tol; raises after _ADMM_MAX_ITER iterations with the last residual
+    attached.
 
     The returned dual lives in the contrast space, clipped to [-lam, lam]
     and sign-aligned with D z so the gap certificate is exactly feasible.
     A stack of cases (leading axes of beta, with lam a float or one value
     per case) gives arrays over the cases in every field.
     """
-    z, objective, iterations, residual, dual = _fused_admm(
-        beta, D, lam, tol, max_iter
-    )
+    z, objective, iterations, residual, dual = _fused_admm(beta, D, lam, tol)
     if iterations.ndim == 0:
         return OracleResult(z, float(objective), int(iterations), float(residual), dual)
     return OracleResult(z, objective, iterations, residual, dual)
@@ -233,7 +237,7 @@ def _tilt(log_beta, a, nu):
     return z / np.sum(z, axis=-1, keepdims=True)
 
 
-def kl_project(beta, a, b, tol=1e-12, max_iter=200):
+def kl_project(beta, a, b, tol=1e-12):
     """KL projection of beta onto {z : a^T z <= b} within the simplex.
 
     The projection is the exponential tilt z_j proportional to
@@ -244,7 +248,7 @@ def kl_project(beta, a, b, tol=1e-12, max_iter=200):
     complementary-slackness residual |nu * h| is below tol on the feasible
     side (h <= 1e-12), or, when float resolution keeps the residual above
     tol, once the bracket has shrunk to adjacent floats (the feasible end
-    is returned).  Raises ConvergenceError after max_iter steps.
+    is returned).  Raises ConvergenceError after _KL_MAX_ITER steps.
 
     A stack of cases (leading axes of beta and a, b one value per case)
     runs every case's search side by side and returns one SimplexPoint
@@ -291,7 +295,7 @@ def kl_project(beta, a, b, tol=1e-12, max_iter=200):
     nu = hi.copy()
     residual = np.full(idx.size, np.inf)
     run = np.arange(idx.size)
-    for _ in range(max_iter):
+    for _ in range(_KL_MAX_ITER):
         az = _dot(a[run], z[run])
         h = az - b[run]
         residual[run] = np.abs(nu[run] * h)
@@ -321,9 +325,9 @@ def kl_project(beta, a, b, tol=1e-12, max_iter=200):
         z[run] = _tilt(log_beta[run], a[run], nu[run])
     if run.size:
         raise ConvergenceError(
-            f"KL projection did not reach tol={tol:g} in {max_iter} steps",
+            f"KL projection did not reach tol={tol:g} in {_KL_MAX_ITER} steps",
             residual=float(np.max(residual[run])),
-            iterations=max_iter,
+            iterations=_KL_MAX_ITER,
         )
     return SimplexPoint(out.reshape(beta.shape))
 

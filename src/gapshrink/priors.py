@@ -159,8 +159,8 @@ def log_gap_prior_nuclear_sparse(A, B, V1, V2, lam2, alpha):
 
     The nuclear strength is tied to the dual by lam1 = ||V1||_F, which keeps
     V1 automatically operator-norm feasible; entries of V2 must stay within
-    the sparsity strength lam2 or the density is -inf.  The Gaussian kernel
-    sits at the anchor A B^T + V1 + V2.
+    the sparsity strength lam2 or the density is -inf (the gap's own box
+    check).  The Gaussian kernel sits at the anchor A B^T + V1 + V2.
     """
     _check_alpha(alpha)
     _check_strength("lam2", lam2)
@@ -168,10 +168,8 @@ def log_gap_prior_nuclear_sparse(A, B, V1, V2, lam2, alpha):
     B = np.atleast_2d(np.asarray(B, dtype=float))
     V1 = np.asarray(V1, dtype=float)
     V2 = np.asarray(V2, dtype=float)
-    if V2.size and np.max(np.abs(V2)) > lam2:
-        return -np.inf
     lam1 = float(np.linalg.norm(V1))
-    gap = variational_nuclear_gap(A, B, V1 + V2, lam1, lam2)
+    gap = variational_nuclear_gap(A, B, (V1, V2), lam1, lam2)
     if np.isinf(gap):
         return -np.inf
     return -alpha * gap + _gaussian_kernel(A @ B.T + V1 + V2)

@@ -122,17 +122,18 @@ def inverse_gaussian(mu, lam, rng):
 
 # step-out budget of slice_sample_1d, in widths, split between the two ends
 _MAX_STEPOUT = 256
+# shrink budget of slice_sample_1d
+_MAX_SHRINK = 2000
 
 
-def slice_sample_1d(logf, x0, width, rng, bounds=(-math.inf, math.inf),
-                    max_shrink=2000):
+def slice_sample_1d(logf, x0, width, rng, bounds=(-math.inf, math.inf)):
     """One stepping-out-and-shrink slice update leaving exp(logf) invariant.
 
     bounds clip both the initial bracket and the step-out walk, so regions
     outside them are never proposed.  When the step-out budget of
     _MAX_STEPOUT widths binds, the randomized left/right split keeps the
     capped walk reversible.
-    Raises NumericError when max_shrink shrinks find no point in the slice.
+    Raises NumericError when _MAX_SHRINK shrinks find no point in the slice.
     """
     lo, hi = bounds
     x0 = float(x0)
@@ -156,7 +157,7 @@ def slice_sample_1d(logf, x0, width, rng, bounds=(-math.inf, math.inf),
         right = min(right + width, hi)
         k -= 1
 
-    for _ in range(max_shrink):
+    for _ in range(_MAX_SHRINK):
         x1 = left + rng.uniform() * (right - left)
         if logf(x1) > logy:
             return x1
@@ -164,4 +165,4 @@ def slice_sample_1d(logf, x0, width, rng, bounds=(-math.inf, math.inf),
             left = x1
         else:
             right = x1
-    raise NumericError(f"slice sampler found no point in {max_shrink} shrinks")
+    raise NumericError(f"slice sampler found no point in {_MAX_SHRINK} shrinks")

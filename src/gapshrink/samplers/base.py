@@ -133,7 +133,8 @@ def regression_theta_sampler(X, y):
         N(Q^-1 (X'y / sigma2 + b), Q^-1),  Q = X'X / sigma2 + diag(d),
 
     for positive prior precisions d (shape (p,)) and a prior shift b
-    (shape (p,), or 0).
+    (shape (p,), or 0).  Raises ValueError unless y has one entry per row
+    of X.
 
     The draw goes through an n x n system, at O(n^2 p) per draw against
     O(p^3) for the p x p precision (Bhattacharya, Chakraborty & Mallick
@@ -157,6 +158,8 @@ def regression_theta_sampler(X, y):
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     n, p = X.shape
+    if y.shape != (n,):
+        raise ValueError("y length must match rows of X")
     # X' and diag(sqrt(D)) X' in Fortran order, so scipy's BLAS reads them
     # uncopied; X' is a view when X is C-ordered
     Xt = np.asfortranarray(X.T)

@@ -68,8 +68,6 @@ def gibbs_sparse_regression(X, y, config):
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float).ravel()
     n, p = X.shape
-    if y.size != n:
-        raise ValueError("y length must match rows of X")
     alpha = config.alpha
     a_sig, b_sig = HYPERPRIORS["sigma2"]
     seed, chain = config.seed, config.chain_id

@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 from scipy.stats import norm
@@ -78,6 +80,17 @@ class TestFusedProbitData:
         gaps = [np.max(np.abs(theta0[0] - theta0[j])) for j in others]
         assert min(gaps) >= 1.0
 
-    def test_invalid_partition(self):
-        with pytest.raises(ValueError):
-            gen_fused_probit(0, m=4, p=2, departments=[[0, 1], [1, 2, 3]], n=10)
+    def test_departments_are_the_halves(self):
+        _, _, deps, _ = gen_fused_probit(0, m=5, p=2, n=10)
+        assert deps == [[0, 1], [2, 3, 4]]
+
+
+def test_generator_parameters():
+    # the data sit at the paper's fixed settings; only exp3's category
+    # count, covariate count, sample size and deviant are settable
+    def params(f):
+        return list(inspect.signature(f).parameters)
+
+    assert params(gen_sparse_regression) == ["seed"]
+    assert params(gen_lowrank_sparse) == ["seed"]
+    assert params(gen_fused_probit) == ["seed", "m", "p", "n", "deviant"]

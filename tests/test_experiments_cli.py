@@ -1,9 +1,11 @@
+import dataclasses
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from gapshrink import experiments
 from gapshrink.cli import main
 from gapshrink.diagnostics import acf
 from gapshrink.experiments import (
@@ -107,6 +109,12 @@ class TestRunExperiment:
         with pytest.raises(ValueError):
             ExperimentConfig(experiment="exp9")
 
+    def test_fields(self):
+        # the thresholds come from data/thresholds.json on every run
+        assert [f.name for f in dataclasses.fields(ExperimentConfig)] == [
+            "experiment", "replications", "sampler", "data_seed", "out_dir",
+        ]
+
     @pytest.mark.parametrize("experiment, most", [
         ("exp1", 21845), ("exp2", 65536), ("exp3", 65536),
     ])
@@ -145,18 +153,18 @@ class TestThresholds:
         assert set(t) >= {"exp1", "exp2", "exp3", "gap_check"}
         assert t["exp2"]["sigma2_range"] == [0.07, 0.12]
 
-    def test_gap_check_verdict_reads_thresholds(self, tmp_path):
+    def test_gap_check_verdict_reads_thresholds(self, tmp_path, monkeypatch):
         t = load_thresholds()
         t["gap_check"]["min_gap"] = 1.0
-        cfg = ExperimentConfig(
-            experiment="gap-check", out_dir=str(tmp_path), thresholds=t
-        )
+        monkeypatch.setattr(experiments, "load_thresholds", lambda: t)
+        cfg = ExperimentConfig(experiment="gap-check", out_dir=str(tmp_path))
         assert not run_experiment(cfg).passed
 
-    def test_exp3_verdict_reads_omega_cross_max(self, tmp_path):
+    def test_exp3_verdict_reads_omega_cross_max(self, tmp_path, monkeypatch):
         # a short exp3 run that passes at the shipped bounds fails once the
         # cross-group weight bound is 0
         t = load_thresholds()
+        monkeypatch.setattr(experiments, "load_thresholds", lambda: t)
         verdicts = []
         for bound in (t["exp3"]["omega_cross_max"], 0.0):
             t["exp3"]["omega_cross_max"] = bound
@@ -165,7 +173,6 @@ class TestThresholds:
                 replications=1,
                 sampler=tiny_sampler(warmup=50, retain=50, alpha=1000.0),
                 out_dir=str(tmp_path / str(bound)),
-                thresholds=t,
             )
             report = run_experiment(
                 cfg, exp3_gen_kwargs={"m": 4, "p": 2, "n": 200, "deviant": 0}

@@ -89,19 +89,20 @@ class TestGeneralizedL1Gap:
 
 
 class TestKLGap:
+    # the simplex lies in the unit l1 ball, whose support term is 0 at u = 0
+    simplex_ball = NormBall("l1", 1.0)
+
     def test_zero_at_match(self):
-        assert kl_gap([0.5, 0.5], [0.5, 0.5], [0.0, 0.0]) == pytest.approx(0.0)
+        gap = kl_gap([0.5, 0.5], [0.5, 0.5], [0.0, 0.0], self.simplex_ball)
+        assert gap == pytest.approx(0.0)
 
     def test_plain_kl(self):
-        val = kl_gap([0.8, 0.2], [0.5, 0.5], [0.0, 0.0])
+        val = kl_gap([0.8, 0.2], [0.5, 0.5], [0.0, 0.0], self.simplex_ball)
         assert val == pytest.approx(0.22314, abs=1e-5)
-
-    def test_free_space_requires_zero_dual(self):
-        assert kl_gap([0.5, 0.5], [0.5, 0.5], [1.0, 0.0]) == np.inf
 
     def test_zero_beta_entry_rejected(self):
         with pytest.raises(ValueError):
-            kl_gap([1.0, 0.0], [0.5, 0.5], [0.0, 0.0])
+            kl_gap([1.0, 0.0], [0.5, 0.5], [0.0, 0.0], self.simplex_ball)
 
     def test_outside_halfspace_is_inf(self):
         hs = Halfspace([1.0, 0.0], 0.3)
@@ -220,8 +221,26 @@ class TestVariationalNuclear:
         assert gap == pytest.approx(0.0)
 
     def test_rank_mismatch(self):
+        V = np.zeros((2, 2))
         with pytest.raises(DimensionError):
-            variational_nuclear_gap(np.ones((2, 2)), np.ones((2, 1)), np.zeros((2, 2)), 1, 1)
+            variational_nuclear_gap(np.ones((2, 2)), np.ones((2, 1)), (V, V), 1, 1)
+
+    def test_v2_outside_box_is_inf(self):
+        A = B = np.array([[1.0], [0.0]])
+        V2 = np.zeros((2, 2))
+        V2[1, 0] = 0.5 + 1e-9
+        assert variational_nuclear_gap(A, B, (np.zeros((2, 2)), V2), 1.0, 0.5) == np.inf
+        V2[1, 0] = 0.5
+        assert np.isfinite(variational_nuclear_gap(A, B, (np.zeros((2, 2)), V2), 1.0, 0.5))
+
+    def test_v1_outside_operator_ball_is_inf(self):
+        # V1 = 2 I has operator norm 2: outside the lam1 = 1 ball, inside
+        # lam1 = 2
+        A = B = np.array([[1.0], [0.0]])
+        V1 = 2.0 * np.eye(2)
+        V2 = np.zeros((2, 2))
+        assert variational_nuclear_gap(A, B, (V1, V2), 1.0, 0.0) == np.inf
+        assert np.isfinite(variational_nuclear_gap(A, B, (V1, V2), 2.0, 0.0))
 
     @given(st.data())
     @settings(max_examples=100, deadline=None)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq, minimize
 
+from gapshrink import oracles
 from gapshrink.errors import (
     ConvergenceError,
     DimensionError,
@@ -126,9 +127,10 @@ class TestProxFused:
             gap = generalized_l1_gap(D, lam, res.solution, res.dual)
             assert gap <= 10 * tol
 
-    def test_iteration_cap(self):
+    def test_iteration_cap(self, monkeypatch):
+        monkeypatch.setattr(oracles, "_ADMM_MAX_ITER", 3)
         with pytest.raises(ConvergenceError) as err:
-            prox_fused(np.array([5.0, -5.0]), self.D, 1.0, tol=1e-14, max_iter=3)
+            prox_fused(np.array([5.0, -5.0]), self.D, 1.0, tol=1e-14)
         assert err.value.residual is not None
 
     def test_negative_penalty_rejected(self):
@@ -237,9 +239,10 @@ class TestKLProject:
             z = kl_project(beta, a, b, tol=0.0).z
             assert float(a @ z) <= b
 
-    def test_iteration_cap(self):
+    def test_iteration_cap(self, monkeypatch):
+        monkeypatch.setattr(oracles, "_KL_MAX_ITER", 1)
         with pytest.raises(ConvergenceError) as err:
-            kl_project([0.8, 0.2], [1.0, 0.0], 0.5, max_iter=1)
+            kl_project([0.8, 0.2], [1.0, 0.0], 0.5)
         assert err.value.residual is not None
 
 
@@ -343,9 +346,10 @@ class TestStacks:
         with pytest.raises(InfeasibleError):
             kl_project(beta, a, b)
 
-    def test_one_case_over_budget_raises(self):
+    def test_one_case_over_budget_raises(self, monkeypatch):
+        monkeypatch.setattr(oracles, "_ADMM_MAX_ITER", 3)
         beta = np.array([[1.0, 0.0], [5.0, -5.0]])
         with pytest.raises(ConvergenceError) as err:
             # the lam = 0 case exits at once; the other needs far more steps
-            prox_fused(beta, np.array([[1.0, -1.0]]), [0.0, 1.0], tol=1e-14, max_iter=3)
+            prox_fused(beta, np.array([[1.0, -1.0]]), [0.0, 1.0], tol=1e-14)
         assert err.value.residual is not None

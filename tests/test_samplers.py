@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy.stats import kstest, laplace
 
+import gapshrink.rng
 import gapshrink.samplers
 from gapshrink.datasets import gen_fused_probit
 from gapshrink.errors import NumericError
@@ -93,6 +94,17 @@ class TestComparators:
         cfg = SamplerConfig(warmup=300, retain=300, seed=9)
         out = sampler(X, np.zeros(60), cfg)
         assert np.max(np.abs(out.columns("theta_").mean(axis=0))) < 0.1
+
+
+@pytest.mark.parametrize(
+    "sampler", [gibbs_sparse_regression, gibbs_bayesian_lasso, gibbs_gdp]
+)
+@pytest.mark.parametrize("length", [1, 49])
+def test_regression_samplers_reject_wrong_response_length(sampler, length):
+    # a length-1 response would otherwise broadcast into a constant one
+    X, y, _ = strong_signal_data()
+    with pytest.raises(ValueError, match="y length must match rows of X"):
+        sampler(X, y[:length], SamplerConfig(warmup=1, retain=1))
 
 
 class TestMatrixSmoothing:
@@ -360,7 +372,8 @@ class TestChainDriver:
         with pytest.raises(NumericError, match=r"seed 17, chain 4, sweep 3\)"):
             run_chain(cfg, step, lambda: ({"x": 0.0}, {}, {}))
 
-    def test_slice_failure_names_replay_coordinate(self):
+    def test_slice_failure_names_replay_coordinate(self, monkeypatch):
+        monkeypatch.setattr(gapshrink.rng, "_MAX_SHRINK", 50)
         cfg = SamplerConfig(warmup=2, retain=3, seed=23, chain_id=1)
 
         def step(sweep):
@@ -370,7 +383,7 @@ class TestChainDriver:
                 return 0.0 if sweep != 4 or x == 0.5 else -np.inf
 
             rng = stream(cfg.seed, cfg.chain_id, sweep)
-            slice_sample_1d(logf, 0.5, 1.0, rng, max_shrink=50)
+            slice_sample_1d(logf, 0.5, 1.0, rng)
 
         with pytest.raises(NumericError, match=r"seed 23, chain 1, sweep 4\)"):
             run_chain(cfg, step, lambda: ({"x": 0.0}, {}, {}))
