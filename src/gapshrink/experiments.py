@@ -8,13 +8,12 @@ data_kwargs), draws its data from seed data_seed + rep (only exp3's
 generator takes data_kwargs; exp1 and exp2 data have fixed sizes), runs
 its samplers and returns (metrics, chains, summaries).
 
-run_experiment runs the replications in the main process, or across a fork
-pool of GAPSHRINK_THREADS workers when that variable is set, and writes one
-headered CSV of retained gap-model draws per replication, a deterministic
-report.json holding recovery metrics (for all compared methods) and
-pass/fail flags, a timing.json sidecar with wall-clock numbers (kept out of
-report.json so identical configs give byte-identical reports), and
-standalone SVG plots.
+run_experiment fans the replications across a worker pool (capped by the
+GAPSHRINK_THREADS environment variable) and writes one headered CSV of
+retained gap-model draws per replication, a deterministic report.json
+holding recovery metrics (for all compared methods) and pass/fail flags, a
+timing.json sidecar with wall-clock numbers (kept out of report.json so
+identical configs give byte-identical reports), and standalone SVG plots.
 gap-check runs the certification suites instead.
 """
 
@@ -93,21 +92,17 @@ class RunReport:
 
 def _n_workers(n_tasks):
     """Worker count for n_tasks: GAPSHRINK_THREADS (an integer >= 1) when
-    set and nonempty, else 1, never above n_tasks.
-
-    The default is serial because each replication's OpenBLAS already
-    starts one thread per core; a pool of such workers oversubscribes the
-    cores and runs slower than the main process alone.
-    """
+    set and nonempty, else the core count, never above n_tasks."""
     env = os.environ.get("GAPSHRINK_THREADS")
-    if not env:
-        return 1
-    try:
-        cap = int(env)
-    except ValueError:
-        cap = 0
-    if cap < 1:
-        raise ValueError(f"GAPSHRINK_THREADS must be an integer >= 1, got {env!r}")
+    if env:
+        try:
+            cap = int(env)
+        except ValueError:
+            cap = 0
+        if cap < 1:
+            raise ValueError(f"GAPSHRINK_THREADS must be an integer >= 1, got {env!r}")
+    else:
+        cap = os.cpu_count() or 1
     return max(1, min(cap, n_tasks))
 
 

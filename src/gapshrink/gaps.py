@@ -235,7 +235,11 @@ def variational_nuclear_gap(A, B, u, lam1, lam2):
     B = np.atleast_2d(np.asarray(B, dtype=float))
     if A.shape[1] != B.shape[1]:
         raise DimensionError("A and B disagree on the factor rank")
+    if len(u) != 2:
+        raise DimensionError("u must be the dual pair (V1, V2)")
     V1, V2 = (np.asarray(v, dtype=float) for v in u)
+    if V1.ndim != 2 or V1.shape != V2.shape:
+        raise DimensionError("u must be the dual pair (V1, V2)")
     if V2.size and np.max(np.abs(V2)) > lam2 + 1e-12:
         return np.inf
     if conjugate_value(Nuclear(lam1, V1.shape), V1) == np.inf:

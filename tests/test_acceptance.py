@@ -137,9 +137,15 @@ def exp1_report(tmp_path_factory):
         data_seed=2024,
         out_dir=str(tmp_path_factory.mktemp("exp1")),
     )
-    t0 = time.perf_counter()
-    rep = run_experiment(cfg)
-    return rep, time.perf_counter() - t0
+    # serial run: a fork pool of workers whose BLAS each starts one thread
+    # per core oversubscribes the cores; serial and pool runs write the
+    # same bytes
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("GAPSHRINK_THREADS", "1")
+        t0 = time.perf_counter()
+        rep = run_experiment(cfg)
+        elapsed = time.perf_counter() - t0
+    return rep, elapsed
 
 
 @pytest.mark.slow

@@ -193,16 +193,6 @@ class TestWorkerPool:
         monkeypatch.delenv("GAPSHRINK_THREADS")
         assert _n_workers(1) == 1
 
-    def test_default_is_serial(self, monkeypatch):
-        # each worker's BLAS already uses every core, so a default pool
-        # would oversubscribe them
-        from gapshrink.experiments import _n_workers
-
-        monkeypatch.delenv("GAPSHRINK_THREADS", raising=False)
-        assert _n_workers(10) == 1
-        monkeypatch.setenv("GAPSHRINK_THREADS", "")
-        assert _n_workers(10) == 1
-
     @pytest.mark.parametrize("value", ["abc", "0", "-3", "1.5", " "])
     def test_env_must_be_positive_integer(self, monkeypatch, value):
         from gapshrink.experiments import _n_workers

@@ -225,6 +225,19 @@ class TestVariationalNuclear:
         with pytest.raises(DimensionError):
             variational_nuclear_gap(np.ones((2, 2)), np.ones((2, 1)), (V, V), 1, 1)
 
+    @pytest.mark.parametrize("rows", [2, 3])
+    def test_summed_dual_rejected(self, rows):
+        # one matrix V1 + V2 in place of the pair; two rows would unpack
+        # into two vectors
+        A = B = np.ones((rows, 1))
+        with pytest.raises(DimensionError, match="dual pair"):
+            variational_nuclear_gap(A, B, np.zeros((rows, rows)), 1, 1)
+
+    def test_pair_shapes_must_agree(self):
+        A = B = np.ones((2, 1))
+        with pytest.raises(DimensionError, match="dual pair"):
+            variational_nuclear_gap(A, B, (np.zeros((2, 2)), np.zeros((2, 3))), 1, 1)
+
     def test_v2_outside_box_is_inf(self):
         A = B = np.array([[1.0], [0.0]])
         V2 = np.zeros((2, 2))
