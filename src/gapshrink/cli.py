@@ -94,7 +94,7 @@ def main(argv=None):
             out_dir=args.out,
         )
         report = run_experiment(config)
-    except Exception as exc:  # pragma: no cover - defensive surface
+    except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     verdict = "PASS" if report.passed else "FAIL"

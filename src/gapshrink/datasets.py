@@ -50,7 +50,7 @@ def gen_lowrank_sparse(seed):
     return Y, theta0
 
 
-def gen_fused_probit(seed, m=8, p=2, n=2000, deviant=None):
+def gen_fused_probit(seed, m, p, n, deviant=None):
     """exp3's data: an n x m binary response matrix through a probit link
     on an n x p standard-normal design, with group-constant coefficients.
 

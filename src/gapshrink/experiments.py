@@ -32,6 +32,7 @@ from . import plots
 from .certify import run_gap_check
 from .datasets import gen_fused_probit, gen_lowrank_sparse, gen_sparse_regression
 from .diagnostics import acf
+from .gaps import l1_gap
 from .samplers import (
     SamplerConfig,
     gibbs_bayesian_lasso,
@@ -141,8 +142,7 @@ def _pooled_median_acf(theta_draws, max_lag):
     return np.median(curves, axis=0)
 
 
-def _sparse_metrics(samples, theta0, limits):
-    theta_draws = samples.columns("theta_")
+def _sparse_metrics(theta_draws, theta0, limits):
     means = theta_draws.mean(axis=0)
     nonzero = theta0 != 0.0
     return {
@@ -164,27 +164,22 @@ def _exp1_rep(payload):
 
     first = _CHAINS_PER_REP["exp1"] * rep
     gap = gibbs_sparse_regression(X, y, replace(sampler, chain_id=first))
-    gm = _sparse_metrics(gap, theta0, limits)
-    curve = _pooled_median_acf(gap.columns("theta_"), limits["acf_lag"])
+    theta_draws = gap.columns("theta_")
+    gm = _sparse_metrics(theta_draws, theta0, limits)
+    curve = _pooled_median_acf(theta_draws, limits["acf_lag"])
     gm["median_acf_at_lag"] = float(curve[-1])
 
-    u_draws = gap.columns("u_")
-    lam_draws = gap.column("lam")
-    feas = np.max(np.abs(u_draws), axis=1) <= lam_draws + 1e-12
-    theta_draws = gap.columns("theta_")
-    sign_bad = np.any((theta_draws != 0) & (u_draws * theta_draws < 0), axis=1)
-    gap_vals = np.sum(
-        (lam_draws[:, None] - np.abs(u_draws)) * np.abs(theta_draws), axis=1
-    )
-    gm["dual_feasible_all"] = bool(np.all(feas) and not np.any(sign_bad))
-    gm["mean_gap"] = float(np.mean(gap_vals))
-    gm["min_gap"] = float(np.min(gap_vals))
+    # +inf for a draw off the box |u| <= lam or the sign rule u_j theta_j >= 0
+    gaps = l1_gap(gap.column("lam"), theta_draws, gap.columns("u_"))
+    gm["dual_feasible_all"] = bool(np.all(np.isfinite(gaps)))
+    gm["mean_gap"] = float(np.mean(gaps))
+    gm["min_gap"] = float(np.min(gaps))
 
     lasso = gibbs_bayesian_lasso(X, y, replace(sampler, chain_id=first + 1))
-    lm = _sparse_metrics(lasso, theta0, limits)
+    lm = _sparse_metrics(lasso.columns("theta_"), theta0, limits)
 
     gdp = gibbs_gdp(X, y, replace(sampler, chain_id=first + 2))
-    dm = _sparse_metrics(gdp, theta0, limits)
+    dm = _sparse_metrics(gdp.columns("theta_"), theta0, limits)
 
     out["gap_shrinkage"] = gm
     out["bayesian_lasso"] = lm
@@ -200,7 +195,7 @@ def _exp1_rep(payload):
         "bayesian_lasso": lasso,
         "gdp": gdp,
     }
-    return out, chains, {"theta0": theta0}
+    return out, chains, {"theta0": theta0, "acf_max": limits["acf_max"]}
 
 
 def _exp2_rep(payload):
@@ -234,16 +229,14 @@ def _exp2_rep(payload):
         and metrics["tail_sv_max"] < limits["tail_sv_max"]
         and feas
     )
-    # posterior mean of theta from the factor draws
+    # posterior mean of theta over about 200 evenly thinned factor draws
     p1, p2 = theta0.shape
-    r = samples.columns("A_").shape[1] // p1
-    theta_mean = np.zeros((p1, p2))
-    A_draws = samples.columns("A_").reshape(-1, p1, r)
-    B_draws = samples.columns("B_").reshape(-1, p2, r)
+    A_draws = samples.columns("A_").reshape(-1, p1, sampler.rank)
+    B_draws = samples.columns("B_").reshape(-1, p2, sampler.rank)
     step = max(1, A_draws.shape[0] // 200)
-    for i in range(0, A_draws.shape[0], step):
-        theta_mean += A_draws[i] @ B_draws[i].T
-    theta_mean /= len(range(0, A_draws.shape[0], step))
+    theta_mean = np.mean(
+        A_draws[::step] @ np.swapaxes(B_draws[::step], 1, 2), axis=0
+    )
     metrics["sv_of_theta_mean"] = np.linalg.svd(theta_mean, compute_uv=False)[
         :6
     ].tolist()
@@ -262,14 +255,11 @@ def _exp3_rep(payload):
     theta_mean = samples.columns("theta_").mean(axis=0).reshape(m, p)
     deviant = data_kwargs.get("deviant")
 
-    within_plain, deviant_diffs = [], []
-    for g in departments:
-        for i_, j_ in [(a, b) for a in g for b in g if a < b]:
-            diff = float(np.max(np.abs(theta_mean[i_] - theta_mean[j_])))
-            if deviant is not None and deviant in (i_, j_):
-                deviant_diffs.append(diff)
-            else:
-                within_plain.append(diff)
+    # max |theta_i - theta_j| over covariates, for every pair of categories
+    diff = np.max(np.abs(theta_mean[:, None] - theta_mean[None]), axis=-1)
+    pairs = [(a, b) for g in departments for a in g for b in g if a < b]
+    deviant_diffs = [float(diff[a, b]) for a, b in pairs if deviant in (a, b)]
+    within_plain = [float(diff[a, b]) for a, b in pairs if deviant not in (a, b)]
 
     rho_mean = float(samples.column("rho").mean())
     omega_mean = float(samples.column("omega_cross").mean())
@@ -297,8 +287,7 @@ def _exp3_rep(payload):
     metrics["passed"] = bool(passed)
     return metrics, {"gap_fused_probit": samples}, {
         "theta0": theta0,
-        "theta_mean": theta_mean,
-        "departments": [list(g) for g in departments],
+        "pairwise_diff": diff,
     }
 
 
@@ -333,8 +322,8 @@ def _plot_exp1(out, rep, chains, summaries):
         out / f"coefficients_rep{rep}.svg",
         [f"t{j}" for j in sel],
         *q,
-        truth=theta0[sel],
-        title="posterior spread of selected coefficients",
+        theta0[sel],
+        "posterior spread of selected coefficients",
     )
     curves = {
         label: _pooled_median_acf(samples.columns("theta_")[:, :50], 15)
@@ -343,8 +332,8 @@ def _plot_exp1(out, rep, chains, summaries):
     plots.svg_lines(
         out / f"acf_rep{rep}.svg",
         curves,
-        title="pooled median autocorrelation",
-        threshold=0.2,
+        "pooled median autocorrelation",
+        summaries["acf_max"],
     )
 
 
@@ -356,27 +345,21 @@ def _plot_exp2(out, rep, chains, summaries):
         out / f"singular_values_rep{rep}.svg",
         [f"k={k + 1}" for k in range(sv.shape[1])],
         *q,
-        truth=truth,
-        title="posterior singular values",
+        truth,
+        "posterior singular values",
     )
     plots.svg_heatmap(
         out / f"theta_mean_rep{rep}.svg",
         np.abs(summaries["theta_mean"]),
-        title="posterior mean |theta|",
+        "posterior mean |theta|",
     )
 
 
 def _plot_exp3(out, rep, chains, summaries):
-    theta_mean = summaries["theta_mean"]
-    m = theta_mean.shape[0]
-    diff = np.zeros((m, m))
-    for i in range(m):
-        for j in range(m):
-            diff[i, j] = np.max(np.abs(theta_mean[i] - theta_mean[j]))
     plots.svg_heatmap(
         out / f"pairwise_diff_rep{rep}.svg",
-        diff,
-        title="max |pairwise coefficient difference|",
+        summaries["pairwise_diff"],
+        "max |pairwise coefficient difference|",
     )
 
 
@@ -389,8 +372,11 @@ def run_experiment(config, exp3_gen_kwargs=None):
 
     Writes, under out_dir/<experiment>/: per-replication chain CSVs,
     report.json (deterministic), timing.json, and SVG plots.
-    exp3_gen_kwargs replaces exp3's default data-generator arguments.
+    exp3_gen_kwargs replaces exp3's default data-generator arguments; any
+    other experiment rejects them, as its data have fixed sizes.
     """
+    if exp3_gen_kwargs is not None and config.experiment != "exp3":
+        raise ValueError(f"{config.experiment} takes no exp3_gen_kwargs")
     out = Path(config.out_dir) / config.experiment
     out.mkdir(parents=True, exist_ok=True)
     limits = load_thresholds()[config.experiment.replace("-", "_")]

@@ -21,7 +21,7 @@ case axes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -278,6 +278,10 @@ class Quadratic(_Penalty):
             raise ValueError("Q must be square")
         if not np.allclose(self.Q, np.swapaxes(self.Q, -1, -2), atol=1e-10):
             raise ValueError("Q must be symmetric")
+        try:
+            np.linalg.cholesky(self.Q)
+        except np.linalg.LinAlgError:
+            raise ValueError("Q must be positive definite") from None
         self.dim = self.Q.shape[-1:]
 
     def params(self):
@@ -294,7 +298,7 @@ class Quadratic(_Penalty):
 class Sum(_Penalty):
     """g(z) = sum_j g_j(z) over penalties sharing one domain."""
 
-    parts: tuple = field(default_factory=tuple)
+    parts: tuple
 
     def __post_init__(self):
         self.parts = tuple(self.parts)

@@ -17,26 +17,28 @@ def _scale(vals, lo, hi, out_lo, out_hi):
     return out_lo + (vals - lo) / span * (out_hi - out_lo)
 
 
-def _frame(title, body):
-    return (
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
-        f'viewBox="0 0 {_W} {_H}">\n'
-        f'<rect width="{_W}" height="{_H}" fill="white"/>\n'
-        f'<text x="{_W / 2}" y="20" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="14">{title}</text>\n'
-        f"{body}\n</svg>\n"
-    )
+def _write(path, title, parts):
+    """Write one standalone SVG: a white frame, the title, then parts."""
+    body = "\n".join(parts)
+    with open(path, "w") as fh:
+        fh.write(
+            f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
+            f'viewBox="0 0 {_W} {_H}">\n'
+            f'<rect width="{_W}" height="{_H}" fill="white"/>\n'
+            f'<text x="{_W / 2}" y="20" text-anchor="middle" '
+            f'font-family="sans-serif" font-size="14">{title}</text>\n'
+            f"{body}\n</svg>\n"
+        )
 
 
-def svg_intervals(path, labels, lows, mids, highs, truth=None,
-                  title="posterior intervals"):
-    """Vertical interval bars with median marks and optional truth dots."""
+def svg_intervals(path, labels, lows, mids, highs, truth, title):
+    """Vertical interval bars with median marks and truth dots."""
     lows = np.asarray(lows, dtype=float)
     mids = np.asarray(mids, dtype=float)
     highs = np.asarray(highs, dtype=float)
     k = len(labels)
-    ymin = float(min(lows.min(), 0.0 if truth is None else min(np.min(truth), 0.0)))
-    ymax = float(max(highs.max(), 0.0 if truth is None else max(np.max(truth), 0.0)))
+    ymin = float(min(lows.min(), np.min(truth), 0.0))
+    ymax = float(max(highs.max(), np.max(truth), 0.0))
     pad = 0.05 * (ymax - ymin or 1.0)
     ymin, ymax = ymin - pad, ymax + pad
     xs = _scale(np.arange(k), -0.5, k - 0.5, _MARGIN, _W - _MARGIN)
@@ -53,33 +55,30 @@ def svg_intervals(path, labels, lows, mids, highs, truth=None,
         parts.append(
             f'<circle cx="{xs[j]:.1f}" cy="{y(mids[j]):.1f}" r="3" fill="#113355"/>'
         )
-        if truth is not None:
-            parts.append(
-                f'<circle cx="{xs[j]:.1f}" cy="{y(truth[j]):.1f}" r="3" '
-                f'fill="none" stroke="#cc3333" stroke-width="1.5"/>'
-            )
+        parts.append(
+            f'<circle cx="{xs[j]:.1f}" cy="{y(truth[j]):.1f}" r="3" '
+            f'fill="none" stroke="#cc3333" stroke-width="1.5"/>'
+        )
         parts.append(
             f'<text x="{xs[j]:.1f}" y="{_H - _MARGIN + 16}" text-anchor="middle" '
             f'font-family="sans-serif" font-size="9">{labels[j]}</text>'
         )
-    with open(path, "w") as fh:
-        fh.write(_frame(title, "\n".join(parts)))
+    _write(path, title, parts)
 
 
-def svg_lines(path, series, title="series", threshold=None):
-    """Polyline plot of named sequences over their index."""
+def svg_lines(path, series, title, threshold):
+    """Polyline plot of named sequences over their index, with a dashed
+    horizontal line at threshold."""
     all_vals = np.concatenate([np.asarray(v, dtype=float) for v in series.values()])
     ymin = float(min(all_vals.min(), 0.0))
     ymax = float(max(all_vals.max(), 1.0))
     nmax = max(len(v) for v in series.values())
     y = lambda v: _scale(v, ymin, ymax, _H - _MARGIN, _MARGIN)
     colors = ["#3366aa", "#cc3333", "#33aa66", "#aa8833", "#8833aa"]
-    parts = []
-    if threshold is not None:
-        parts.append(
-            f'<line x1="{_MARGIN}" y1="{y(threshold):.1f}" x2="{_W - _MARGIN}" '
-            f'y2="{y(threshold):.1f}" stroke="#999" stroke-dasharray="4"/>'
-        )
+    parts = [
+        f'<line x1="{_MARGIN}" y1="{y(threshold):.1f}" x2="{_W - _MARGIN}" '
+        f'y2="{y(threshold):.1f}" stroke="#999" stroke-dasharray="4"/>'
+    ]
     for c, (name, vals) in enumerate(series.items()):
         vals = np.asarray(vals, dtype=float)
         xs = _scale(np.arange(len(vals)), 0, max(nmax - 1, 1), _MARGIN, _W - _MARGIN)
@@ -92,11 +91,10 @@ def svg_lines(path, series, title="series", threshold=None):
             f'<text x="{_W - _MARGIN + 4}" y="{_MARGIN + 14 * c}" fill="{color}" '
             f'font-family="sans-serif" font-size="10">{name}</text>'
         )
-    with open(path, "w") as fh:
-        fh.write(_frame(title, "\n".join(parts)))
+    _write(path, title, parts)
 
 
-def svg_heatmap(path, matrix, title="heatmap"):
+def svg_heatmap(path, matrix, title):
     """Grayscale cell grid of a nonnegative matrix."""
     M = np.asarray(matrix, dtype=float)
     top = float(M.max()) or 1.0
@@ -112,5 +110,4 @@ def svg_heatmap(path, matrix, title="heatmap"):
                 f'width="{cw:.1f}" height="{ch:.1f}" '
                 f'fill="rgb({level},{level},{level})"/>'
             )
-    with open(path, "w") as fh:
-        fh.write(_frame(title, "\n".join(parts)))
+    _write(path, title, parts)

@@ -95,16 +95,12 @@ def complete_graph(groups):
     m = len(members)
     if sorted(members) != list(range(m)):
         raise ValueError("groups must partition 0..m-1")
-    owner = {}
+    owner = np.empty(m, dtype=int)
     for gi, g in enumerate(groups):
-        for j in g:
-            owner[j] = gi
-    edges, cross = [], []
-    for j in range(m):
-        for k in range(j + 1, m):
-            edges.append((j, k))
-            cross.append(owner[j] != owner[k])
-    return EdgeGraph(m, np.array(edges), np.array(cross, dtype=bool))
+        owner[list(g)] = gi
+    # row-major upper triangle: (0, 1), (0, 2), ..., (m - 2, m - 1)
+    j, k = np.triu_indices(m, 1)
+    return EdgeGraph(m, np.column_stack([j, k]), owner[j] != owner[k])
 
 
 def log_gap_prior_l1(theta, u, lam, alpha):

@@ -150,6 +150,7 @@ def edge_dual_sweep(v, anchor, d, w, edges, classes, rho, alpha, rng):
 def gibbs_fused_probit(Y, X, taxonomy, config):
     """Run one chain; returns draws of (theta, v, rho, omega_cross).
 
+    Y is the n x m binary (0/1) response and X the n x p design;
     taxonomy partitions the categories into groups.  Sweep order: probit
     latents, fused scale mixtures, theta columns (blocked Gaussian), dual
     entries (one truncated-normal block per edge class), rho and
@@ -161,6 +162,8 @@ def gibbs_fused_probit(Y, X, taxonomy, config):
     p = X.shape[1]
     if X.shape[0] != n:
         raise ValueError("X rows must match Y rows")
+    if not np.all((Y == 0) | (Y == 1)):
+        raise ValueError("Y must be binary (entries 0 or 1)")
     if any(len(g) == 0 for g in taxonomy):
         raise ValueError("empty group in taxonomy")
     graph = complete_graph(taxonomy)
@@ -214,9 +217,10 @@ def gibbs_fused_probit(Y, X, taxonomy, config):
             M += np.outer(X[:, k], new_col - theta[:, k])
             theta[:, k] = new_col
 
+        # v and w are as in the theta block, so q still holds B^T (w v)
         rng = stream(seed, chain, sweep, _DUAL)
         d = B @ theta
-        anchor = theta + B.T @ (w[:, None] * v)
+        anchor = theta + q
         edge_dual_sweep(v, anchor, d, w, edges, classes, rho, alpha, rng)
 
         rng = stream(seed, chain, sweep, _RHO)

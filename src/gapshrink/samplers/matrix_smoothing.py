@@ -121,28 +121,25 @@ def gibbs_matrix_smoothing(Y, config):
     theta = None
     diag = np.arange(r)
 
+    def rows(block, sweep, F, W, M, V, lam1):
+        """Draw the rows of one factor given the other factor F, the scale
+        precisions W, the data mean M and the dual sum V (all oriented with
+        the drawn factor's rows first): one r x r precision per row, the
+        row's own scale-weighted Gram matrix plus the shared likelihood
+        term and the nuclear ridge."""
+        rng = stream(seed, chain, sweep, block)
+        like_w = S / sigma2 + 1.0 / _KERNEL_VAR
+        prec = np.einsum("jk,ij,jl->ikl", F, W, F) + like_w * (F.T @ F)
+        prec[:, diag, diag] += alpha * lam1
+        rhs = (S / sigma2) * (M @ F) + (alpha - 1.0 / _KERNEL_VAR) * (V @ F)
+        return gaussian_draw(prec, rhs, rng)
+
     def step(sweep):
         nonlocal A, B, V1, V2, inv_s, sigma2, lam2, theta
         lam1 = float(np.linalg.norm(V1))
         V = V1 + V2
-
-        # one r x r precision per row: the row's own scale-weighted Gram
-        # matrix, the shared likelihood term and the nuclear ridge
-        rng = stream(seed, chain, sweep, _ROWS_A)
-        like_w = S / sigma2 + 1.0 / _KERNEL_VAR
-        prec = np.einsum("jk,ij,jl->ikl", B, inv_s, B) + like_w * (B.T @ B)
-        prec[:, diag, diag] += alpha * lam1
-        rhs = (S / sigma2) * (Ybar @ B) + (alpha - 1.0 / _KERNEL_VAR) * (V @ B)
-        A = gaussian_draw(prec, rhs, rng)
-
-        rng = stream(seed, chain, sweep, _ROWS_B)
-        prec = np.einsum("ik,ij,il->jkl", A, inv_s, A) + like_w * (A.T @ A)
-        prec[:, diag, diag] += alpha * lam1
-        rhs = (S / sigma2) * (Ybar.T @ A) + (alpha - 1.0 / _KERNEL_VAR) * (
-            V.T @ A
-        )
-        B = gaussian_draw(prec, rhs, rng)
-
+        A = rows(_ROWS_A, sweep, B, inv_s, Ybar, V, lam1)
+        B = rows(_ROWS_B, sweep, A, inv_s.T, Ybar.T, V.T, lam1)
         theta = A @ B.T
 
         rng = stream(seed, chain, sweep, _SCALES)

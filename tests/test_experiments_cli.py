@@ -8,6 +8,7 @@ import pytest
 from gapshrink import experiments
 from gapshrink.cli import main
 from gapshrink.diagnostics import acf
+from gapshrink.gaps import l1_gap
 from gapshrink.experiments import (
     ExperimentConfig,
     _pooled_median_acf,
@@ -105,6 +106,15 @@ class TestRunExperiment:
         assert "omega_cross_mean" in rep
         assert (tmp_path / "exp3" / "report.json").exists()
 
+    @pytest.mark.parametrize("experiment", ["exp1", "exp2", "gap-check"])
+    def test_exp3_gen_kwargs_rejected_elsewhere(self, tmp_path, experiment):
+        # only exp3's generator takes arguments; elsewhere they were ignored
+        cfg = ExperimentConfig(experiment=experiment, replications=1,
+                               sampler=tiny_sampler(), out_dir=str(tmp_path))
+        with pytest.raises(ValueError, match="exp3_gen_kwargs"):
+            run_experiment(cfg, exp3_gen_kwargs={"m": 99, "bogus": 1})
+        assert not (tmp_path / experiment).exists()
+
     def test_invalid_experiment_id(self):
         with pytest.raises(ValueError):
             ExperimentConfig(experiment="exp9")
@@ -125,6 +135,75 @@ class TestRunExperiment:
         assert ExperimentConfig(experiment, replications=most).replications == most
         with pytest.raises(ValueError, match=f"at most {most} replications"):
             ExperimentConfig(experiment, replications=most + 1)
+
+
+def read_chain_csv(path):
+    """The chain CSV as {column name: values}."""
+    header = path.read_text().splitlines()[0].split(",")
+    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    return header, data
+
+
+def prefixed(header, data, prefix):
+    return data[:, [j for j, n in enumerate(header) if n.startswith(prefix)]]
+
+
+class TestReportArithmetic:
+    """The report's derived numbers, recomputed from the chain CSV (which
+    keeps 10 significant digits)."""
+
+    def test_exp1_gaps_from_csv(self, tmp_path):
+        cfg = ExperimentConfig(experiment="exp1", replications=1,
+                               sampler=tiny_sampler(warmup=20, retain=20),
+                               out_dir=str(tmp_path))
+        rep = run_experiment(cfg).replications[0]["gap_shrinkage"]
+        header, data = read_chain_csv(tmp_path / "exp1" / "rep0_gap_shrinkage.csv")
+        lam = data[:, header.index("lam")]
+        theta = prefixed(header, data, "theta_")
+        u = prefixed(header, data, "u_")
+        gaps = [l1_gap(lam[t], theta[t], u[t]) for t in range(len(lam))]
+        assert rep["dual_feasible_all"]
+        assert rep["mean_gap"] == pytest.approx(np.mean(gaps), rel=1e-8)
+        assert rep["min_gap"] == pytest.approx(np.min(gaps), rel=1e-8)
+
+    def test_exp2_theta_mean_from_csv(self, tmp_path):
+        cfg = ExperimentConfig(experiment="exp2", replications=1,
+                               sampler=tiny_sampler(warmup=3, retain=4),
+                               out_dir=str(tmp_path))
+        rep = run_experiment(cfg).replications[0]
+        header, data = read_chain_csv(tmp_path / "exp2" / "rep0_gap_matrix.csv")
+        A = prefixed(header, data, "A_").reshape(4, 50, 5)
+        B = prefixed(header, data, "B_").reshape(4, 40, 5)
+        # every draw counts below 200 retained; the loop is the reference
+        theta_mean = np.zeros((50, 40))
+        for t in range(4):
+            theta_mean += A[t] @ B[t].T
+        sv = np.linalg.svd(theta_mean / 4, compute_uv=False)[:6]
+        np.testing.assert_allclose(rep["sv_of_theta_mean"], sv, rtol=1e-8,
+                                   atol=1e-8 * sv[0])
+
+    def test_exp3_pairwise_verdict_from_csv(self, tmp_path):
+        m, p = 4, 2
+        cfg = ExperimentConfig(experiment="exp3", replications=1,
+                               sampler=tiny_sampler(warmup=10, retain=10),
+                               out_dir=str(tmp_path))
+        rep = run_experiment(
+            cfg, exp3_gen_kwargs={"m": m, "p": p, "n": 200, "deviant": 0}
+        ).replications[0]
+        header, data = read_chain_csv(tmp_path / "exp3" / "rep0_gap_fused_probit.csv")
+        draws = prefixed(header, data, "theta_")
+        theta_mean = draws.mean(axis=0).reshape(m, p)
+        # departments {0, 1} and {2, 3}; category 0 is the deviant
+        plain = np.max(np.abs(theta_mean[2] - theta_mean[3]))
+        deviant = np.max(np.abs(theta_mean[0] - theta_mean[1]))
+        # 10 digits put each mean within 5e-10 of the largest |draw|, so a
+        # difference of two means may be off by 1e-9 of it beyond 1e-8 relative
+        slack = 1e-9 * np.max(np.abs(draws))
+        assert rep["max_within_dept_diff"] == pytest.approx(plain, rel=1e-8, abs=slack)
+        assert rep["min_deviant_diff"] == pytest.approx(deviant, rel=1e-8, abs=slack)
+        assert rep["deviant_ratio"] == pytest.approx(
+            rep["min_deviant_diff"] / max(rep["max_within_dept_diff"], 1e-6), rel=1e-12
+        )
 
 
 class TestPooledAcf:

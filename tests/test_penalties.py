@@ -199,6 +199,17 @@ class TestValidation:
         with pytest.raises(ValueError):
             Quadratic([[1.0, 2.0], [0.0, 1.0]])
 
+    @pytest.mark.parametrize("Q", [
+        -np.eye(2),
+        np.zeros((2, 2)),
+        np.stack([np.eye(2), np.diag([1.0, -1.0])]),
+    ])
+    def test_quadratic_not_positive_definite_rejected(self, Q):
+        # at -I the penalty and conjugate at (1, 0) both read -0.5, and a
+        # singular Q failed only later, inside the conjugate's solve
+        with pytest.raises(ValueError, match="positive definite"):
+            Quadratic(Q)
+
     def test_empty_sum_rejected(self):
         with pytest.raises(ValueError):
             Sum(())

@@ -93,6 +93,16 @@ class TestFusedPrior:
         np.testing.assert_array_equal(graph.cross, [False, True, True])
         np.testing.assert_array_equal(graph.weights(0.3), [1.0, 0.3, 0.3])
 
+    def test_complete_graph_edge_order(self):
+        # every pair j < k once, in row-major order; groups need not be
+        # contiguous or lists
+        graph = complete_graph([(0, 2), [1, 3]])
+        pairs = [(j, k) for j in range(4) for k in range(j + 1, 4)]
+        np.testing.assert_array_equal(graph.edges, pairs)
+        np.testing.assert_array_equal(
+            graph.cross, [True, False, True, True, False, True]
+        )
+
     def test_out_of_range_edge_rejected(self):
         with pytest.raises(ValueError):
             EdgeGraph(2, [(0, 5)], [False])

@@ -223,6 +223,14 @@ class TestFusedProbit:
         with pytest.raises(ValueError):
             gibbs_fused_probit(Y, X, [[0, 1, 2, 3], []], SamplerConfig(warmup=1, retain=1))
 
+    def test_nonbinary_response_rejected(self):
+        # probit responses are 0 or 1; any other value is an error, not a 1
+        Y, X, deps, _ = gen_fused_probit(42, m=4, p=2, n=50)
+        Y = Y.astype(int)
+        Y[0, 0] = 2
+        with pytest.raises(ValueError, match="binary"):
+            gibbs_fused_probit(Y, X, deps, SamplerConfig(warmup=1, retain=1))
+
     def test_edge_classes_node_disjoint_cover(self):
         for m in range(2, 41):
             edges = complete_graph([list(range(m))]).edges
