@@ -17,6 +17,8 @@ from .errors import NumericError
 __all__ = [
     "stream",
     "truncated_normal",
+    "truncated_normal_inverse",
+    "standard_inverse",
     "inverse_gaussian",
     "slice_sample_1d",
 ]
@@ -54,49 +56,59 @@ def _tail_inverse(a, b, u):
 
 
 def truncated_normal(mu, sigma, lo, hi, rng):
-    """Exact draws from N(mu, sigma^2) restricted to (lo, hi), vectorized.
-
-    Inverse-CDF in the bulk; once the whole interval sits more than 5 sigma
-    into one tail, the complementary CDF is evaluated in log space so the
-    inverse stays exact (a rejection scheme stalls on narrow far-tail
-    intervals, which the samplers do produce).
+    """Exact draws from N(mu, sigma^2) restricted to (lo, hi), vectorized:
+    checks the inputs, draws one uniform per entry of their broadcast and
+    hands both to truncated_normal_inverse.
     """
-    # imported here: scipy.special takes about 0.3 s to load, and neither
-    # importing the package nor gap-check draws a truncated normal
-    from scipy.special import ndtr, ndtri
-
     mu, sigma, lo, hi = np.broadcast_arrays(
         np.asarray(mu, dtype=float),
         np.asarray(sigma, dtype=float),
         np.asarray(lo, dtype=float),
         np.asarray(hi, dtype=float),
     )
-    if np.any(lo >= hi):
+    # written so that NaN fails them
+    if not np.all(lo < hi):
         raise ValueError("lower bound must be below upper bound")
-    if np.any(sigma <= 0):
+    if not np.all(sigma > 0):
         raise ValueError("sigma must be positive")
+    return truncated_normal_inverse(mu, sigma, lo, hi, rng.uniform(size=mu.shape))
+
+
+def truncated_normal_inverse(mu, sigma, lo, hi, u):
+    """N(mu, sigma^2) restricted to (lo, hi) at the uniforms u: the inverse
+    CDF behind truncated_normal, for callers that check lo < hi and
+    sigma > 0 themselves.  (lo - mu) / sigma must have the shape of u.
+    """
+    # imported here: scipy.special takes about 0.3 s to load, and neither
+    # importing the package nor gap-check draws a truncated normal
+    from scipy.special import ndtr
 
     a = (lo - mu) / sigma
     b = (hi - mu) / sigma
-    x = np.empty(a.shape)
+    x = standard_inverse(a, b, ndtr(a), ndtr(b), u)
+    return np.clip(mu + sigma * x, lo, hi)
 
+
+def standard_inverse(a, b, fa, fb, u):
+    """Standard-normal draws on (a, b) at the uniforms u, given
+    fa = ndtr(a) and fb = ndtr(b); all five have one shape.
+
+    Inverse-CDF in the bulk; where the whole interval sits more than 5
+    sigma into one tail (fa and fb are not read there), the complementary
+    CDF is evaluated in log space so the inverse stays exact (a rejection
+    scheme stalls on narrow far-tail intervals, which the samplers do
+    produce).
+    """
+    from scipy.special import ndtri
+
+    x = ndtri(np.clip(fa + u * (fb - fa), 1e-300, 1.0 - 1e-16))
     upper = a >= _TAIL
-    lower = b <= -_TAIL
-    mid = ~(upper | lower)
-
-    u = rng.uniform(size=a.shape)
-    if np.any(mid):
-        am, bm = a[mid], b[mid]
-        fa, fb = ndtr(am), ndtr(bm)
-        uu = fa + u[mid] * (fb - fa)
-        x[mid] = ndtri(np.clip(uu, 1e-300, 1.0 - 1e-16))
-    if np.any(upper):
+    if upper.any():
         x[upper] = _tail_inverse(a[upper], b[upper], u[upper])
-    if np.any(lower):
+    lower = b <= -_TAIL
+    if lower.any():
         x[lower] = -_tail_inverse(-b[lower], -a[lower], u[lower])
-
-    x = mu + sigma * x
-    return np.clip(x, lo, hi)
+    return x
 
 
 def inverse_gaussian(mu, lam, rng):
@@ -108,7 +120,7 @@ def inverse_gaussian(mu, lam, rng):
     """
     mu = np.asarray(mu, dtype=float)
     lam = np.asarray(lam, dtype=float)
-    if np.any(mu <= 0) or np.any(lam <= 0):
+    if not (np.all(mu > 0) and np.all(lam > 0)):
         raise ValueError("mu and lam must be positive")
     size = np.broadcast_shapes(mu.shape, lam.shape)
     nu = rng.standard_normal(size) ** 2

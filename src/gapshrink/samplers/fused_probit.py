@@ -16,7 +16,12 @@ import math
 import numpy as np
 
 from ..priors import _KERNEL_VAR, complete_graph
-from ..rng import slice_sample_1d, stream, truncated_normal
+from ..rng import (
+    slice_sample_1d,
+    standard_inverse,
+    stream,
+    truncated_normal_inverse,
+)
 from .base import HYPERPRIORS, gaussian_draw, laplace_mixture_precision
 from .chain import run_chain
 
@@ -29,7 +34,9 @@ __all__ = [
     "edge_dual_conditional_logpdf",
     "edge_dual_block_draw",
     "edge_classes",
+    "edge_class_layout",
     "edge_dual_sweep",
+    "probit_latent_draw",
 ]
 
 _LATENT, _SCALES, _THETA, _DUAL, _RHO, _OMEGA = range(6)
@@ -118,12 +125,17 @@ def edge_dual_conditional_logpdf(x, d_ek, a1, a2, w_e, rho, alpha):
     )
 
 
-def edge_dual_block_draw(d, a1, a2, w, rho, alpha, rng):
-    """Exact truncated-normal draws matching edge_dual_conditional_logpdf,
-    one per entry of the broadcast of d, a1, a2 and w."""
-    var = _KERNEL_VAR / (2.0 * w * w)
+def edge_dual_block_draw(d, a1, a2, w, rho, alpha, u):
+    """Exact truncated-normal draws matching edge_dual_conditional_logpdf
+    at the uniforms u, one per entry of the broadcast of d, a1, a2 and w.
+    The caller checks rho > 0 and a positive sd, as edge_dual_sweep does."""
+    var = _dual_var(w)
     mean = var * (alpha * w * d - w * (a1 - a2) / _KERNEL_VAR)
-    return truncated_normal(mean, np.sqrt(var), -rho, rho, rng)
+    return truncated_normal_inverse(mean, np.sqrt(var), -rho, rho, u)
+
+
+def _dual_var(w):
+    return _KERNEL_VAR / (2.0 * w * w)
 
 
 def edge_classes(edges, m):
@@ -133,18 +145,62 @@ def edge_classes(edges, m):
     return [np.flatnonzero(cls == c) for c in range(m)]
 
 
-def edge_dual_sweep(v, anchor, d, w, edges, classes, rho, alpha, rng):
-    """Draw every dual entry in place, one edge_dual_block_draw per class;
-    anchor (theta + B^T (w v)) follows exactly, as no class repeats a node."""
-    for c in classes:
-        j1, j2 = edges[c].T
-        w_c = w[c, None]
-        old = w_c * v[c]
-        v[c] = edge_dual_block_draw(
-            d[c], anchor[j1] - old, anchor[j2] + old, w_c, rho, alpha, rng
+def edge_class_layout(edges, classes):
+    """(order, blocks): the edge indices class after class, and per class
+    the slice of its edges in that order with their two node indices."""
+    order = np.concatenate(classes)
+    bounds = np.cumsum([0] + [len(c) for c in classes])
+    blocks = [
+        (slice(start, stop), *edges[c].T.copy())
+        for c, start, stop in zip(classes, bounds[:-1], bounds[1:])
+    ]
+    return order, blocks
+
+
+def edge_dual_sweep(v, anchor, d, w, layout, rho, alpha, rng):
+    """Draw every dual entry in place, one edge_dual_block_draw per class of
+    layout (edge_class_layout); anchor (theta + B^T (w v)) follows exactly,
+    as no class repeats a node.
+
+    One uniform draw covers the sweep, in class order: each class's
+    (len(c), p) block takes the next len(c) * p uniforms, as a draw per
+    class would.
+    """
+    if not rho > 0:
+        raise ValueError("rho must be positive")
+    if not np.all(np.sqrt(_dual_var(w)) > 0):
+        raise ValueError("edge weights must give a positive dual sd")
+    order, blocks = layout
+    w_o, d_o, v_o = w[order, None], d[order], v[order]
+    u = rng.uniform(size=v_o.shape)
+    for sl, j1, j2 in blocks:
+        w_c = w_o[sl]
+        old = w_c * v_o[sl]
+        v_o[sl] = edge_dual_block_draw(
+            d_o[sl], anchor[j1] - old, anchor[j2] + old, w_c, rho, alpha, u[sl]
         )
-        anchor[j1] += w_c * v[c] - old
-        anchor[j2] -= w_c * v[c] - old
+        step = w_c * v_o[sl] - old
+        anchor[j1] += step
+        anchor[j2] -= step
+    v[order] = v_o
+
+
+def probit_latent_draw(M, y, lo, hi, rng):
+    """Albert-Chib probit latents: N(M, 1) truncated to (lo, hi), which is
+    (0, inf) where y is 1 and (-inf, 0) where y is 0.
+
+    truncated_normal's inverse CDF with one ndtr per entry: ndtr is exactly
+    0 at -inf and 1 at +inf, so ndtr(lo - M) and ndtr(hi - M) are t and 1
+    where y is 1 and 0 and t where y is 0, for t = ndtr(-M).  The caller
+    checks lo < hi.
+    """
+    from scipy.special import ndtr
+
+    t = ndtr(-M)
+    fa = t * y
+    fb = t * (1.0 - y) + y
+    x = standard_inverse(lo - M, hi - M, fa, fb, rng.uniform(size=M.shape))
+    return np.clip(M + x, lo, hi)
 
 
 def gibbs_fused_probit(Y, X, taxonomy, config):
@@ -152,9 +208,10 @@ def gibbs_fused_probit(Y, X, taxonomy, config):
 
     Y is the n x m binary (0/1) response and X the n x p design;
     taxonomy partitions the categories into groups.  Sweep order: probit
-    latents, fused scale mixtures, theta columns (blocked Gaussian), dual
-    entries (one truncated-normal block per edge class), rho and
-    omega_cross (slice).
+    latents (probit_latent_draw, a one-sided inverse CDF), fused scale
+    mixtures, theta columns (blocked Gaussian), dual entries (one
+    truncated-normal block per edge class, from one uniform draw per sweep
+    taken in class order), rho and omega_cross (slice).
     """
     Y = np.asarray(Y)
     X = np.asarray(X, dtype=float)
@@ -169,8 +226,7 @@ def gibbs_fused_probit(Y, X, taxonomy, config):
     graph = complete_graph(taxonomy)
     if graph.n_nodes != m:
         raise ValueError("taxonomy does not cover the response columns")
-    edges = graph.edges
-    classes = edge_classes(edges, m)
+    layout = edge_class_layout(graph.edges, edge_classes(graph.edges, m))
     cross = graph.cross
     B = graph.incidence()
     n_edges = graph.n_edges
@@ -186,9 +242,11 @@ def gibbs_fused_probit(Y, X, taxonomy, config):
     omega = 0.5
 
     x2 = np.sum(X * X, axis=0)
-    y_pos = Y.astype(bool)
-    lo = np.where(y_pos, 0.0, -np.inf)
-    hi = np.where(y_pos, np.inf, 0.0)
+    y = Y.astype(float)
+    lo = np.where(y == 1.0, 0.0, -np.inf)
+    hi = np.where(y == 1.0, np.inf, 0.0)
+    if not np.all(lo < hi):
+        raise ValueError("lower bound must be below upper bound")
 
     M = X @ theta.T
     # the probit latents are chain state like the rest; holding them between
@@ -200,7 +258,7 @@ def gibbs_fused_probit(Y, X, taxonomy, config):
         w = graph.weights(omega)
 
         rng = stream(seed, chain, sweep, _LATENT)
-        z = truncated_normal(M, 1.0, lo, hi, rng)
+        z = probit_latent_draw(M, y, lo, hi, rng)
 
         rng = stream(seed, chain, sweep, _SCALES)
         d = B @ theta
@@ -221,7 +279,7 @@ def gibbs_fused_probit(Y, X, taxonomy, config):
         rng = stream(seed, chain, sweep, _DUAL)
         d = B @ theta
         anchor = theta + q
-        edge_dual_sweep(v, anchor, d, w, edges, classes, rho, alpha, rng)
+        edge_dual_sweep(v, anchor, d, w, layout, rho, alpha, rng)
 
         rng = stream(seed, chain, sweep, _RHO)
         sum_wd = float(np.sum(w[:, None] * np.abs(d)))

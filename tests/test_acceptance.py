@@ -470,7 +470,8 @@ class TestCriterion9ConditionalCorrectness:
              (0.0, 0.5, 0.5, 1.0, 0.3, 2.0)]
         ):
             draws = edge_dual_block_draw(
-                np.full(self.N, dek), a1, a2, we, rho_, alpha, stream(1400 + i)
+                np.full(self.N, dek), a1, a2, we, rho_, alpha,
+                stream(1400 + i).uniform(size=self.N),
             )
             logf = lambda y: edge_dual_conditional_logpdf(
                 y, dek, a1, a2, we, rho_, alpha
@@ -499,7 +500,7 @@ class TestCriterion9ConditionalCorrectness:
             a2 = anchor[j2] + w_c * v[c]
             draws = edge_dual_block_draw(
                 np.broadcast_to(d, (self.N,) + d.shape), a1, a2, w_c, rho_,
-                alpha, stream(2100 + m),
+                alpha, stream(2100 + m).uniform(size=(self.N,) + d.shape),
             )
             for e, k in np.ndindex(d.shape):
                 logf = lambda y: edge_dual_conditional_logpdf(

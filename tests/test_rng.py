@@ -7,6 +7,7 @@ from gapshrink.rng import (
     slice_sample_1d,
     stream,
     truncated_normal,
+    truncated_normal_inverse,
 )
 
 
@@ -57,6 +58,23 @@ class TestTruncatedNormal:
         with pytest.raises(ValueError):
             truncated_normal(0.0, 1.0, 1.0, 1.0, stream(0))
 
+    def test_nan_inputs_rejected(self):
+        # a NaN sigma or bound used to pass the checks and come out as NaN
+        with pytest.raises(ValueError, match="sigma"):
+            truncated_normal(0.0, np.nan, -1.0, 1.0, stream(0))
+        with pytest.raises(ValueError, match="bound"):
+            truncated_normal(0.0, 1.0, np.nan, 1.0, stream(0))
+        with pytest.raises(ValueError, match="bound"):
+            truncated_normal(np.zeros(3), 1.0, -1.0, [1.0, np.nan, 2.0], stream(0))
+
+    def test_core_at_the_same_uniforms(self):
+        mu = np.array([0.0, 2.0, -1.0, 0.5])
+        lo = np.array([-1.0, 8.0, -np.inf, -40.001])
+        hi = np.array([1.0, np.inf, -7.0, -40.0])
+        want = truncated_normal(mu, 0.5, lo, hi, stream(13))
+        got = truncated_normal_inverse(mu, 0.5, lo, hi, stream(13).uniform(size=4))
+        np.testing.assert_array_equal(got, want)
+
     def test_scalar_wrapper(self):
         x = truncated_normal(2.0, 0.5, 1.0, 3.0, stream(5))
         assert x.shape == ()
@@ -84,6 +102,11 @@ class TestInverseGaussian:
             inverse_gaussian(-1.0, 1.0, stream(0))
         with pytest.raises(ValueError):
             inverse_gaussian(1.0, 0.0, stream(0))
+
+    def test_nan_parameters_rejected(self):
+        for mu, lam in [(np.nan, 1.0), (1.0, np.nan), ([1.0, np.nan], 1.0)]:
+            with pytest.raises(ValueError):
+                inverse_gaussian(mu, lam, stream(0))
 
     def test_against_scipy_distribution(self):
         rng = stream(9)

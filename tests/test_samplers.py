@@ -13,7 +13,7 @@ import gapshrink.samplers
 from gapshrink.datasets import gen_fused_probit
 from gapshrink.errors import NumericError
 from gapshrink.priors import complete_graph
-from gapshrink.rng import inverse_gaussian, slice_sample_1d, stream
+from gapshrink.rng import inverse_gaussian, slice_sample_1d, stream, truncated_normal
 from gapshrink.samplers import (
     HYPERPRIORS,
     SamplerConfig,
@@ -32,9 +32,11 @@ from gapshrink.samplers.base import (
 )
 from gapshrink.samplers.chain import check_state, run_chain
 from gapshrink.samplers.fused_probit import (
+    edge_class_layout,
     edge_classes,
     edge_dual_block_draw,
     edge_dual_sweep,
+    probit_latent_draw,
 )
 from gapshrink.samplers.matrix_smoothing import v1_block_draw, v1_conditional_logpdf
 
@@ -242,33 +244,88 @@ class TestFusedProbit:
             covered = np.sort(np.concatenate(classes))
             np.testing.assert_array_equal(covered, np.arange(len(edges)))
 
-    def test_dual_sweep_anchors_follow_each_class(self):
-        # frozen state at a weak gap, so the draws depend on the anchors;
-        # the reference rebuilds theta + B^T (w v) before every class
-        m, p, rho, alpha = 7, 2, 3.0, 0.01
+    def test_dual_sweep_anchors_follow_each_class(self, monkeypatch):
+        # frozen states, the sweep against a per-class reference: each class
+        # draws its own uniforms in turn, and the anchors it is given match
+        # theta + B^T (w v) rebuilt from scratch.  A weak gap makes the
+        # draws depend on the anchors; at a strong one most entries take the
+        # upper or the lower tail branch
+        tail_entries = []
+        tail_inverse = gapshrink.rng._tail_inverse
+        monkeypatch.setattr(
+            gapshrink.rng, "_tail_inverse",
+            lambda a, b, u: tail_entries.append(u.size) or tail_inverse(a, b, u),
+        )
+        m, p = 7, 2
         graph = complete_graph([[0, 1, 2], [3, 4, 5, 6]])
         edges, B = graph.edges, graph.incidence()
         classes = edge_classes(edges, m)
-        state = np.random.default_rng(5)
-        theta = 3.0 * state.standard_normal((m, p))
-        v0 = state.uniform(-rho, rho, (len(edges), p))
-        w = graph.weights(0.3)
-        d = B @ theta
+        layout = edge_class_layout(edges, classes)
+        for rho, alpha, min_tail in [(3.0, 0.01, 0), (0.05, 1000.0, 0.8)]:
+            state = np.random.default_rng(5)
+            theta = 3.0 * state.standard_normal((m, p))
+            v0 = state.uniform(-rho, rho, (len(edges), p))
+            w = graph.weights(0.3)
+            d = B @ theta
 
-        got = v0.copy()
-        edge_dual_sweep(got, theta + B.T @ (w[:, None] * got), d, w, edges,
-                        classes, rho, alpha, stream(11, 0, 0, 3))
-        want = v0.copy()
-        rng = stream(11, 0, 0, 3)
-        for c in classes:
+            tail_entries.clear()
+            got = v0.copy()
+            edge_dual_sweep(got, theta + B.T @ (w[:, None] * got), d, w,
+                            layout, rho, alpha, stream(11, 0, 0, 3))
+            assert sum(tail_entries) >= min_tail * got.size
+
+            want = v0.copy()
             anchor = theta + B.T @ (w[:, None] * want)
-            j1, j2 = edges[c].T
-            old = w[c, None] * want[c]
-            want[c] = edge_dual_block_draw(
-                d[c], anchor[j1] - old, anchor[j2] + old, w[c, None], rho,
-                alpha, rng,
-            )
-        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+            rng = stream(11, 0, 0, 3)
+            for c in classes:
+                np.testing.assert_allclose(
+                    anchor, theta + B.T @ (w[:, None] * want), rtol=0.0,
+                    atol=1e-12,
+                )
+                j1, j2 = edges[c].T
+                old = w[c, None] * want[c]
+                want[c] = edge_dual_block_draw(
+                    d[c], anchor[j1] - old, anchor[j2] + old, w[c, None], rho,
+                    alpha, rng.uniform(size=(len(c), p)),
+                )
+                anchor[j1] += w[c, None] * want[c] - old
+                anchor[j2] -= w[c, None] * want[c] - old
+            np.testing.assert_array_equal(got, want)
+
+    def test_dual_sweep_checks_rho_and_weights(self):
+        graph = complete_graph([[0, 1], [2, 3]])
+        layout = edge_class_layout(graph.edges, edge_classes(graph.edges, 4))
+        v = np.zeros((graph.n_edges, 2))
+        anchor = np.zeros((4, 2))
+        w = graph.weights(0.5)
+        for rho in (0.0, -1.0, np.nan):
+            with pytest.raises(ValueError, match="rho"):
+                edge_dual_sweep(v, anchor, v, w, layout, rho, 1.0, stream(0))
+        for bad in (np.inf, np.nan):
+            w_bad = w.copy()
+            w_bad[1] = bad
+            with pytest.raises(ValueError, match="sd"):
+                edge_dual_sweep(v, anchor, v, w_bad, layout, 1.0, 1.0, stream(0))
+
+    def test_latent_draw_is_truncated_normal(self):
+        # the one-sided inverse CDF gives truncated_normal's bits, in the
+        # bulk, at exactly 5 sigma and beyond it on either side
+        state = np.random.default_rng(8)
+        edge = np.array([5.0, -5.0, np.nextafter(5.0, 0.0),
+                         np.nextafter(-5.0, 0.0), 6.5, -6.5, 40.0, -40.0,
+                         0.0, -0.0])
+        M = np.concatenate([3.0 * state.standard_normal(2000), edge, edge])
+        y = np.concatenate([state.integers(0, 2, 2000),
+                            np.ones(edge.size), np.zeros(edge.size)])
+        M, y = M.reshape(-1, 5), y.reshape(-1, 5).astype(float)
+        lo = np.where(y == 1.0, 0.0, -np.inf)
+        hi = np.where(y == 1.0, np.inf, 0.0)
+        # entries 5 sigma or more on the infeasible side take the tail branch
+        assert np.sum(np.where(y == 1.0, -M, M) >= 5.0) >= 6
+        got = probit_latent_draw(M, y, lo, hi, stream(12, 0, 3, 0))
+        want = truncated_normal(M, 1.0, lo, hi, stream(12, 0, 3, 0))
+        np.testing.assert_array_equal(got, want)
+        assert np.all(np.where(y == 1.0, got >= 0.0, got <= 0.0))
 
 
 class TestConjugateUpdates:
