@@ -57,10 +57,15 @@ def gen_fused_probit(seed, m, p, n, deviant=None):
     The m categories form two departments, range(m // 2) and
     range(m // 2, m); each department shares one coefficient row, whose
     entries have a random sign and a magnitude uniform on (0.5, 1.5).
-    deviant names a category whose row is shifted by 2.0, giving
-    within-department pairwise gaps of at least that size.  Returns
-    (Y, X, departments, theta0).
+    deviant, None or an index in range(m), names a category whose row is
+    shifted by 2.0, giving within-department pairwise gaps of at least
+    that size.  Returns (Y, X, departments, theta0).
     """
+    # an int or numpy integer: numpy would index with True as a mask
+    if deviant is not None and not (
+        np.issubdtype(type(deviant), np.integer) and 0 <= deviant < m
+    ):
+        raise ValueError(f"deviant must be None or in range({m}), got {deviant!r}")
     half = m // 2
     departments = [list(range(half)), list(range(half, m))]
     rng = stream(seed, 0, 0, _DATA_BLOCK)

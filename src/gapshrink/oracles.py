@@ -71,7 +71,8 @@ def project_l1_ball(beta, r):
     """Euclidean projection onto {z : ||z||_1 <= r} by sort and threshold."""
     beta = np.asarray(beta, dtype=float)
     r = float(r) if np.ndim(r) == 0 else np.asarray(r, dtype=float)
-    if np.any(r <= 0):
+    # written so that NaN fails it, as is the tol check of _fused_admm
+    if not np.all(r > 0):
         raise ValueError("radius must be positive")
     _check_cases(beta.shape[:-1], r)
     r = _per_entry(r)
@@ -104,7 +105,7 @@ def _fused_admm(beta, D, lam, tol=1e-8):
     """
     beta = np.atleast_1d(np.asarray(beta, dtype=float))
     D = np.atleast_2d(np.asarray(D, dtype=float))
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
     lam = _case_param(lam, "lam")
     d, p = D.shape

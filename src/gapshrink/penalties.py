@@ -47,7 +47,8 @@ _DUAL_NORM = {"l1": "linf", "l2": "l2", "linf": "l1"}
 def _case_param(x, name):
     """A nonnegative per-case parameter: a float, or an array over cases."""
     x = float(x) if np.ndim(x) == 0 else np.asarray(x, dtype=float)
-    if np.any(x < 0):
+    # written so that NaN fails it
+    if not np.all(x >= 0):
         raise ValueError(f"{name} must be nonnegative")
     return x
 

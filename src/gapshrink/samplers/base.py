@@ -1,7 +1,8 @@
 """Shared sampler configuration, draw storage, the fixed hyperprior
 table, and the conditional draws the samplers share: the Gaussian block
 draw, the regression theta draw, the Laplace scale-mixture precision, the
-inverse-gamma draw and the slice move on a box strength."""
+inverse-gamma draw, the noise-variance draw and the slice move on a box
+strength."""
 
 from __future__ import annotations
 
@@ -22,6 +23,7 @@ __all__ = [
     "regression_theta_sampler",
     "laplace_mixture_precision",
     "inverse_gamma",
+    "noise_variance",
     "box_strength_logpdf",
     "box_strength_step",
 ]
@@ -63,14 +65,15 @@ class SamplerConfig:
     rank: int = 5
 
     def __post_init__(self):
-        if self.warmup < 1 or self.retain < 1:
-            raise ValueError("warmup and retain must be at least 1")
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
-        if not 0 <= self.chain_id < CHAIN_IDS:
-            raise ValueError(f"chain_id must be between 0 and {CHAIN_IDS - 1}")
-        if self.rank < 1:
-            raise ValueError("rank must be at least 1")
+        # written so that NaN fails them; a count is an int or numpy
+        # integer, not a bool or a float
+        for name, low, high in (("warmup", 1, np.inf), ("retain", 1, np.inf),
+                                ("rank", 1, np.inf), ("chain_id", 0, CHAIN_IDS - 1)):
+            value = getattr(self, name)
+            if not (np.issubdtype(type(value), np.integer) and low <= value <= high):
+                raise ValueError(f"{name} must be an integer in [{low}, {high}]")
+        if not 0 < self.alpha < np.inf:
+            raise ValueError(f"alpha must be positive and finite, got {self.alpha!r}")
 
 
 @dataclass
@@ -213,6 +216,14 @@ def inverse_gamma(shape, rate, rng):
     standard_gamma call with one draw per element of rate (a float when
     shape and rate are scalars)."""
     return rate / rng.standard_gamma(shape, size=np.shape(rate) or None)
+
+
+def noise_variance(sum_sq, count, rng):
+    """The conjugate noise-variance draw: under the prior InverseGamma(a, b)
+    = HYPERPRIORS["sigma2"], count Gaussian terms whose squares sum to
+    sum_sq give InverseGamma(a + count / 2, b + sum_sq / 2)."""
+    a, b = HYPERPRIORS["sigma2"]
+    return inverse_gamma(a + 0.5 * count, b + 0.5 * sum_sq, rng)
 
 
 def box_strength_logpdf(lam, abs_sum, dual_max, alpha):

@@ -10,8 +10,8 @@ import numpy as np
 from ..rng import slice_sample_1d, stream
 from .base import (
     HYPERPRIORS,
-    inverse_gamma,
     laplace_mixture_precision,
+    noise_variance,
     regression_theta_sampler,
 )
 from .chain import run_chain
@@ -60,7 +60,6 @@ def gibbs_bayesian_lasso(X, y, config):
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float).ravel()
     n, p = X.shape
-    a_sig, b_sig = HYPERPRIORS["sigma2"]
     seed, chain = config.seed, config.chain_id
 
     theta_draw = regression_theta_sampler(X, y)
@@ -84,11 +83,8 @@ def gibbs_bayesian_lasso(X, y, config):
 
         rng = stream(seed, chain, sweep, _SIGMA)
         resid = y - X @ theta
-        shape = a_sig + 0.5 * (n + p)
-        rate = b_sig + 0.5 * (
-            float(resid @ resid) + float(np.sum(theta**2 * inv_tau2))
-        )
-        sigma2 = inverse_gamma(shape, rate, rng)
+        sum_sq = float(resid @ resid) + float(np.sum(theta**2 * inv_tau2))
+        sigma2 = noise_variance(sum_sq, n + p, rng)
 
         rng = stream(seed, chain, sweep, _LAM)
         lam = lasso_lam_step(lam, float(np.sum(tau2)), p, rng)
@@ -109,7 +105,6 @@ def gibbs_gdp(X, y, config):
     y = np.asarray(y, dtype=float).ravel()
     n, p = X.shape
     a_gdp, eta = HYPERPRIORS["gdp"]
-    a_sig, b_sig = HYPERPRIORS["sigma2"]
     seed, chain = config.seed, config.chain_id
 
     theta_draw = regression_theta_sampler(X, y)
@@ -132,11 +127,8 @@ def gibbs_gdp(X, y, config):
 
         rng = stream(seed, chain, sweep, _SIGMA)
         resid = y - X @ theta
-        shape = a_sig + 0.5 * (n + p)
-        rate = b_sig + 0.5 * (
-            float(resid @ resid) + float(np.sum(theta**2 * inv_s))
-        )
-        sigma2 = inverse_gamma(shape, rate, rng)
+        sum_sq = float(resid @ resid) + float(np.sum(theta**2 * inv_s))
+        sigma2 = noise_variance(sum_sq, n + p, rng)
 
     def record():
         return {"theta": theta, "sigma2": sigma2}, {}, {}

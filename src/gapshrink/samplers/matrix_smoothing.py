@@ -22,11 +22,11 @@ import numpy as np
 from ..priors import _KERNEL_VAR
 from ..rng import inverse_gaussian, stream, truncated_normal
 from .base import (
-    HYPERPRIORS,
     box_strength_step,
     gaussian_draw,
     inverse_gamma,
     laplace_mixture_precision,
+    noise_variance,
 )
 from .chain import run_chain
 
@@ -104,7 +104,6 @@ def gibbs_matrix_smoothing(Y, config):
     if r > min(p1, p2):
         raise ValueError("rank exceeds matrix dimensions")
     alpha = config.alpha
-    a_sig, b_sig = HYPERPRIORS["sigma2"]
     seed, chain = config.seed, config.chain_id
 
     Ybar = Y.mean(axis=0)
@@ -153,9 +152,8 @@ def gibbs_matrix_smoothing(Y, config):
         V1 = v1_block_draw(theta, V1, V2, coupling, alpha, rng)
 
         rng = stream(seed, chain, sweep, _SIGMA)
-        shape = a_sig + 0.5 * S * p1 * p2
-        rate_sig = b_sig + 0.5 * (ss0 + S * float(np.sum((Ybar - theta) ** 2)))
-        sigma2 = inverse_gamma(shape, rate_sig, rng)
+        sum_sq = ss0 + S * float(np.sum((Ybar - theta) ** 2))
+        sigma2 = noise_variance(sum_sq, S * p1 * p2, rng)
 
         rng = stream(seed, chain, sweep, _LAM2)
         lam2 = box_strength_step(

@@ -17,10 +17,10 @@ import numpy as np
 
 from ..rng import stream, truncated_normal
 from .base import (
-    HYPERPRIORS,
     box_strength_step,
     inverse_gamma,
     laplace_mixture_precision,
+    noise_variance,
     regression_theta_sampler,
 )
 from .chain import run_chain
@@ -69,7 +69,6 @@ def gibbs_sparse_regression(X, y, config):
     y = np.asarray(y, dtype=float).ravel()
     n, p = X.shape
     alpha = config.alpha
-    a_sig, b_sig = HYPERPRIORS["sigma2"]
     seed, chain = config.seed, config.chain_id
 
     theta_draw = regression_theta_sampler(X, y)
@@ -102,9 +101,7 @@ def gibbs_sparse_regression(X, y, config):
 
         rng = stream(seed, chain, sweep, _SIGMA)
         resid = y - X @ theta
-        shape = a_sig + 0.5 * n
-        rate = b_sig + 0.5 * float(resid @ resid)
-        sigma2 = inverse_gamma(shape, rate, rng)
+        sigma2 = noise_variance(float(resid @ resid), n, rng)
 
     def record():
         values = {"theta": theta, "u": u, "lam": lam, "sigma2": sigma2}

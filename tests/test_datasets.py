@@ -80,6 +80,13 @@ class TestFusedProbitData:
         gaps = [np.max(np.abs(theta0[0] - theta0[j])) for j in others]
         assert min(gaps) >= 1.0
 
+    @pytest.mark.parametrize("deviant", [-1, 8, 1.0, True])
+    def test_deviant_must_be_a_category_index(self, deviant):
+        # -1 shifted the last category and True every category; 8 and 1.0
+        # failed with a bare IndexError
+        with pytest.raises(ValueError, match="deviant"):
+            gen_fused_probit(0, m=8, p=2, n=10, deviant=deviant)
+
     def test_departments_are_the_halves(self):
         _, _, deps, _ = gen_fused_probit(0, m=5, p=2, n=10)
         assert deps == [[0, 1], [2, 3, 4]]

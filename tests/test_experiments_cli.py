@@ -106,6 +106,16 @@ class TestRunExperiment:
         assert "omega_cross_mean" in rep
         assert (tmp_path / "exp3" / "report.json").exists()
 
+    def test_exp3_deviant_out_of_range_rejected(self, tmp_path):
+        # deviant -1 used to shift the last category, which exp3 then
+        # scored as an ordinary within-department pair
+        cfg = ExperimentConfig(experiment="exp3", replications=1,
+                               sampler=tiny_sampler(), out_dir=str(tmp_path))
+        with pytest.raises(ValueError, match="deviant"):
+            run_experiment(
+                cfg, exp3_gen_kwargs={"m": 4, "p": 2, "n": 200, "deviant": -1}
+            )
+
     @pytest.mark.parametrize("experiment", ["exp1", "exp2", "gap-check"])
     def test_exp3_gen_kwargs_rejected_elsewhere(self, tmp_path, experiment):
         # only exp3's generator takes arguments; elsewhere they were ignored
@@ -318,6 +328,39 @@ class TestStartup:
         out = fresh_python(code, str(tmp_path))
         assert out[-4:-1] == ["[]", "0", "True True"]
 
+    def test_package_import_loads_nothing(self, fresh_python):
+        # every name is imported from its module; the package is bare
+        code = (
+            "import sys, gapshrink\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m.startswith(('gapshrink.', 'numpy'))))\n"
+        )
+        assert fresh_python(code)[0] == "[]"
+
+    def test_every_module_imports_without_scipy(self, fresh_python):
+        # no module imports scipy at module level, and every name in a
+        # module's __all__ resolves; __main__ would run the CLI
+        code = (
+            "import importlib, pkgutil, sys, gapshrink\n"
+            "found = pkgutil.walk_packages(gapshrink.__path__, 'gapshrink.')\n"
+            "names = [m.name for m in found if m.name != 'gapshrink.__main__']\n"
+            "for name in names:\n"
+            "    module = importlib.import_module(name)\n"
+            "    for attr in getattr(module, '__all__', ()):\n"
+            "        getattr(module, attr)\n"
+            "print(' '.join(names))\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+        )
+        out = fresh_python(code)
+        src = Path(experiments.__file__).parent
+        want = {"gapshrink.samplers"} | {
+            "gapshrink." + ".".join(path.relative_to(src).with_suffix("").parts)
+            for path in src.rglob("*.py")
+            if path.name not in ("__init__.py", "__main__.py")
+        }
+        assert set(out[0].split()) == want
+        assert out[1] == "[]"
+
 
 class TestCLI:
     def test_exp1_smoke_and_exit_code(self, tmp_path, capsys):
@@ -335,6 +378,14 @@ class TestCLI:
         assert code in (0, 1)
         assert "exp1" in out
         assert (Path(tmp_path) / "exp1" / "report.json").exists()
+
+    def test_nan_alpha_rejected_before_the_chain(self, tmp_path, capsys):
+        # it used to fail at sweep 1 with rng's "mu and lam must be positive"
+        code = main(["exp1", "--reps", "1", "--warmup", "2", "--retain", "2",
+                     "--alpha", "nan", "--out", str(tmp_path)])
+        assert code == 2
+        assert "alpha must be positive and finite" in capsys.readouterr().err
+        assert not (tmp_path / "exp1").exists()
 
     def test_config_file_overrides_flags(self, tmp_path):
         cfg_file = tmp_path / "cfg.json"

@@ -31,6 +31,22 @@ class TestSoftThreshold:
         np.testing.assert_allclose(soft_threshold(x, 0.0), x)
 
 
+class TestNanParameters:
+    # NaN passed the parameter checks: the first two returned NaN, and a
+    # NaN tol ran the ADMM's whole iteration budget before raising
+    def test_soft_threshold_and_l1_ball(self):
+        beta = np.array([1.0, -2.0])
+        with pytest.raises(ValueError, match="lam"):
+            soft_threshold(beta, np.nan)
+        for r in (np.nan, np.array([1.0, np.nan])):
+            with pytest.raises(ValueError, match="radius"):
+                project_l1_ball(np.stack([beta, beta]), r)
+
+    def test_prox_fused_tol(self):
+        with pytest.raises(ValueError, match="tol"):
+            prox_fused(np.array([1.0, 0.0]), np.array([[1.0, -1.0]]), 1.0, tol=np.nan)
+
+
 class TestProjectL1Ball:
     def test_known_projections(self):
         np.testing.assert_allclose(project_l1_ball(np.array([3.0, 1.0]), 1.0), [1.0, 0.0])

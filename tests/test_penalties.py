@@ -195,6 +195,15 @@ class TestValidation:
         with pytest.raises(ValueError):
             NormBall("l2", -0.5)
 
+    def test_nan_parameters_rejected(self):
+        # NaN passed a `< 0` test: L1(nan) gave a NaN penalty and a NaN
+        # radius put every point outside the ball
+        nan = float("nan")
+        for make in (lambda: L1(nan), lambda: L1(np.array([1.0, nan])),
+                     lambda: NormBall("l2", nan)):
+            with pytest.raises(ValueError, match="nonnegative"):
+                make()
+
     def test_asymmetric_quadratic_rejected(self):
         with pytest.raises(ValueError):
             Quadratic([[1.0, 2.0], [0.0, 1.0]])

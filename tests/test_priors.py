@@ -150,10 +150,10 @@ class TestMarginalPrior:
         # scipy.integrate (with scipy.optimize and scipy.sparse) loads only
         # when the quadrature marginal is first called
         code = (
-            "import math, sys, gapshrink\n"
+            "import math, sys, gapshrink.priors\n"
             "heavy = ('scipy.integrate', 'scipy.optimize', 'scipy.sparse')\n"
             "print(sorted(m for m in heavy if m in sys.modules))\n"
-            "v = gapshrink.marginal_l1_prior(0, 1, 1)\n"
+            "v = gapshrink.priors.marginal_l1_prior(0, 1, 1)\n"
             "print(abs(v - math.pi / 2) <= 1e-8 * math.pi / 2)\n"
         )
         assert fresh_python(code)[:2] == ["[]", "True"]

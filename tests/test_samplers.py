@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.stats import kstest, laplace
+from scipy.stats import invgamma, kstest, laplace
 
 import gapshrink.rng
 import gapshrink.samplers
@@ -28,6 +28,7 @@ from gapshrink.samplers.base import (
     gaussian_draw,
     inverse_gamma,
     laplace_mixture_precision,
+    noise_variance,
     regression_theta_sampler,
 )
 from gapshrink.samplers.chain import check_state, run_chain
@@ -351,6 +352,16 @@ class TestConjugateUpdates:
         ref.standard_gamma(3.0)
         assert rng.uniform() == ref.uniform()
 
+    def test_noise_variance_law(self):
+        # the sigma2 draw of the gap, matrix, lasso and GDP samplers:
+        # InverseGamma(a + count / 2, b + sum_sq / 2) under HYPERPRIORS
+        a, b = HYPERPRIORS["sigma2"]
+        sum_sq, count = 7.5, 12
+        draws = noise_variance(np.full(20_000, sum_sq), count, stream(24))
+        law = invgamma(a + count / 2, scale=b + sum_sq / 2)
+        assert kstest(draws, law.cdf).pvalue > 1e-3
+        assert isinstance(noise_variance(sum_sq, count, stream(25)), float)
+
     def test_box_strength_step_stays_above_dual(self):
         rng = stream(23)
         lam = 1.5
@@ -649,6 +660,25 @@ class TestConfig:
             SamplerConfig(warmup=0)
         with pytest.raises(ValueError):
             SamplerConfig(alpha=-1.0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("alpha", float("nan")),
+        ("alpha", float("inf")),
+        ("warmup", 2.5),
+        ("warmup", True),
+        ("retain", float("nan")),
+        ("rank", 2.5),
+        ("chain_id", 2.5),
+    ])
+    def test_rejects_settings_that_fail_in_the_chain(self, field, value):
+        # each was accepted and then failed at the first sweep, or keyed the
+        # streams on a truncated chain_id, or (True) ran as a count of 1
+        with pytest.raises(ValueError, match=field):
+            SamplerConfig(**{field: value})
+
+    def test_numpy_integers_accepted(self):
+        cfg = SamplerConfig(warmup=np.int64(3), retain=np.int32(2))
+        assert (cfg.warmup, cfg.retain) == (3, 2)
 
     def test_fields(self):
         assert [f.name for f in dataclasses.fields(SamplerConfig)] == [
