@@ -102,6 +102,11 @@ def _fused_admm(beta, D, lam, tol=1e-8):
     penalty parameter, rebalancing and exit test, so it takes the steps a
     solve of that case alone takes; a case leaves the working set once it
     exits.  lam = 0 cases return beta after 0 iterations.
+
+    When D has full row rank, each iteration also tries the exact finish
+    that prox_fused describes; a finished case reports the iteration it
+    finished at, and the norm of its fused contrasts (D z)_F as its
+    residual.
     """
     beta = np.atleast_1d(np.asarray(beta, dtype=float))
     D = np.atleast_2d(np.asarray(D, dtype=float))
@@ -127,11 +132,36 @@ def _fused_admm(beta, D, lam, tol=1e-8):
     Dt = D.T
     DtD = Dt @ D
     eye = np.eye(p)
+    # the exact finish needs D D' nonsingular, that is D of full row rank
+    DDt = D @ Dt if np.linalg.matrix_rank(D) == d else None
 
     def factor(rho, b):
         # z = inv (beta + rho D'(w - y)) = z_beta + G (w - y)
         inv = np.linalg.inv(eye + rho[:, None, None] * DtD)
         return _matvec(inv, b), rho[:, None, None] * (inv @ Dt)
+
+    def meets_tol(res, lam, u, Dz):
+        # the exit test: residuals within tol, gap certificate within 5 tol
+        cert = np.sum((lam[:, None] - np.abs(u)) * np.abs(Dz), axis=-1)
+        return (res <= tol) & (cert <= 5.0 * tol)
+
+    def finish(b, lam, w):
+        # fix u_N = lam sign(w_N) on the nonzero contrasts N and solve
+        # (D D')_FF u_F = (D b)_F - (D D')_FN u_N on the fused ones F, one
+        # system per case with identity rows on N; then z = b - D'u
+        s = np.sign(w)
+        on = s != 0.0
+        u_on = lam[:, None] * s
+        A = np.where(on[:, :, None], np.eye(d), DDt)
+        u = np.linalg.solve(A, np.where(on, u_on, _matvec(D, b))[..., None])[..., 0]
+        u = np.where(on, u_on, u)
+        z = b - _matvec(Dt, u)
+        Dz = _matvec(D, z)
+        # KKT: |u_F| <= lam, and no nonzero contrast changed sign
+        kkt = np.all(np.where(on, s * Dz >= 0.0, np.abs(u) <= lam[:, None]), axis=-1)
+        fused = np.where(on, 0.0, Dz)
+        res = np.sqrt(_dot(fused, fused))
+        return z, u, Dz, res, kkt & meets_tol(res, lam, u, Dz)
 
     idx = np.flatnonzero(lam_all > 0.0)
     b, lam = b_all[idx], lam_all[idx]
@@ -154,10 +184,17 @@ def _fused_admm(beta, D, lam, tol=1e-8):
         r_primal = np.sqrt(_dot(r, r))
         r_dual = rho * np.sqrt(_dot(s, s))
         res = np.maximum(r_primal, r_dual)
-        # exit once the residuals meet tol and so does the gap certificate
         u = np.clip(rho[:, None] * y, -lam[:, None], lam[:, None])
-        cert = np.sum((lam[:, None] - np.abs(u)) * np.abs(Dz), axis=-1)
-        done = (res <= tol) & (cert <= 5.0 * tol)
+        done = meets_tol(res, lam, u, Dz)
+        if DDt is not None:
+            # a case whose exact finish passes exits with the finished pair
+            z_f, u_f, Dz_f, res_f, exact = finish(b, lam, w)
+            z, u, Dz = (
+                np.where(exact[:, None], f, x)
+                for f, x in ((z_f, z), (u_f, u), (Dz_f, Dz))
+            )
+            res = np.where(exact, res_f, res)
+            done |= exact
         if done.any():
             j, u, Dz, z = idx[done], u[done], Dz[done], z[done]
             # sign-align the certificate with every nonzero contrast (fused
@@ -206,8 +243,20 @@ def prox_fused(beta, D, lam, tol=1e-8):
     tenfold.  The z-update's system I + rho D'D is inverted once per value
     of rho (Boyd et al. 2011, sec. 4.2), so each iteration applies it with
     one matrix-vector product.  Stops when max(primal, dual residual) <=
-    tol; raises after _ADMM_MAX_ITER iterations with the last residual
-    attached.
+    tol and the gap certificate is within 5 tol; raises after
+    _ADMM_MAX_ITER iterations with the last residual attached.
+
+    When D has full row rank (D D' nonsingular), each iteration also
+    finishes the case exactly from the sign pattern s of the split w, as
+    OSQP polishes its iterates (Stellato et al. 2020, sec. 4): u = lam s on
+    the nonzero contrasts N, u_F from (D D')_FF u_F = (D beta)_F -
+    (D D')_FN u_N on the fused ones F, and z = beta - D'u.  The case exits
+    with that pair when it meets the KKT conditions (|u_F| <= lam, and
+    s (D z) >= 0 on N) and the exit test above.  For a finished case,
+    iterations is the iteration whose sign pattern it finished from, and
+    residual is ||(D z)_F||, the pair's primal residual (its stationarity
+    holds by construction), rounding error only.  A rank-deficient D runs
+    the plain ADMM.
 
     The returned dual lives in the contrast space, clipped to [-lam, lam]
     and sign-aligned with D z so the gap certificate is exactly feasible.
@@ -256,12 +305,18 @@ def kl_project(beta, a, b, tol=1e-12):
     holding the stack.
     """
     beta = as_simplex(beta)
-    if np.any(beta <= 0.0):
+    # NaN fails each check; b may be infinite (an inactive or an empty
+    # constraint), a may not
+    if not np.all(beta > 0.0):
         raise ValueError("beta must be strictly positive")
     a = np.atleast_1d(np.asarray(a, dtype=float))
     b = np.asarray(b, dtype=float)
     if a.shape != beta.shape:
         raise ValueError("constraint vector does not match beta")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("constraint vector must be finite")
+    if np.any(np.isnan(b)):
+        raise ValueError("constraint bound must not be NaN")
     cases, p = beta.shape[:-1], beta.shape[-1]
     _check_cases(cases, b)
     out = beta.reshape(-1, p).copy()

@@ -72,6 +72,9 @@ class SamplerConfig:
             value = getattr(self, name)
             if not (np.issubdtype(type(value), np.integer) and low <= value <= high):
                 raise ValueError(f"{name} must be an integer in [{low}, {high}]")
+        # any integer: rng.stream masks the seed to 64 bits
+        if not np.issubdtype(type(self.seed), np.integer):
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
         if not 0 < self.alpha < np.inf:
             raise ValueError(f"alpha must be positive and finite, got {self.alpha!r}")
 

@@ -21,6 +21,32 @@ from gapshrink.oracles import (
 from gapshrink.penalties import GeneralizedL1, L1, NormBall
 
 
+# three nodes in a cycle: D D' is singular, so the ADMM runs without the
+# exact finish
+CYCLE3 = np.array([[1.0, -1.0, 0.0], [0.0, 1.0, -1.0], [-1.0, 0.0, 1.0]])
+
+
+def chain(p):
+    """Differences of neighbours on a p-node chain (full row rank)."""
+    return np.diff(np.eye(p), axis=0) * -1.0
+
+
+def assert_subgradient_optimal(beta, D, lam, z, dual):
+    """beta - z must lie in lam * D' @ subgradient(||Dz||_1): active rows
+    pin the multiplier at lam * sign(Dz); fused rows admit any value in
+    [-lam, lam], so reconstruct one and check it exists."""
+    d = D @ z
+    active = np.abs(d) > 1e-6
+    assert np.max(np.abs(dual)) <= lam + 1e-12
+    np.testing.assert_allclose(dual[active], lam * np.sign(d[active]), atol=1e-6)
+    rhs = beta - z - D[active].T @ dual[active]
+    if np.any(~active):
+        u_in, *_ = np.linalg.lstsq(D[~active].T, rhs, rcond=None)
+        assert np.max(np.abs(u_in)) <= lam + 1e-6
+        rhs = rhs - D[~active].T @ u_in
+    assert np.max(np.abs(rhs)) <= 1e-6
+
+
 class TestSoftThreshold:
     def test_basic(self):
         np.testing.assert_allclose(soft_threshold([3.0, -3.0], 1.0), [2.0, -2.0])
@@ -45,6 +71,21 @@ class TestNanParameters:
     def test_prox_fused_tol(self):
         with pytest.raises(ValueError, match="tol"):
             prox_fused(np.array([1.0, 0.0]), np.array([[1.0, -1.0]]), 1.0, tol=np.nan)
+
+    def test_kl_project(self):
+        # each returned as if the constraint were inactive
+        for beta, a, b, field in (
+            ([0.5, np.nan], [1.0, 2.0], 1.2, "beta"),
+            ([0.5, 0.5], [1.0, 2.0], np.nan, "bound"),
+            ([0.5, 0.5], [1.0, np.nan], 1.2, "vector"),
+            ([[0.5, 0.5]] * 2, [[1.0, 2.0]] * 2, [1.2, np.nan], "bound"),
+        ):
+            with pytest.raises(ValueError, match=field):
+                kl_project(beta, a, b)
+        # an infinite bound still means an inactive or an empty constraint
+        np.testing.assert_array_equal(kl_project([0.5, 0.5], [1.0, 2.0], np.inf).z, [0.5, 0.5])
+        with pytest.raises(InfeasibleError):
+            kl_project([0.5, 0.5], [1.0, 2.0], -np.inf)
 
 
 class TestProjectL1Ball:
@@ -106,37 +147,19 @@ class TestProxFused:
                 assert np.max(np.abs(res.solution - ref)) <= 2 * step
 
     def test_subgradient_optimality(self):
-        # beta - z must lie in lam * D' @ subgradient(||Dz||_1): active rows
-        # pin the multiplier at lam * sign(Dz); fused rows admit any value
-        # in [-lam, lam], so reconstruct one and check it exists
         rng = np.random.default_rng(3)
-        D = np.zeros((4, 5))
-        idx = np.arange(4)
-        D[idx, idx] = 1.0
-        D[idx, idx + 1] = -1.0
+        D = chain(5)
         for _ in range(20):
             beta = rng.normal(0, 2, 5)
             lam = rng.uniform(0.2, 1.5)
             res = prox_fused(beta, D, lam, tol=1e-10)
-            z = res.solution
-            d = D @ z
-            active = np.abs(d) > 1e-6
-            assert np.max(np.abs(res.dual)) <= lam + 1e-12
-            np.testing.assert_allclose(
-                res.dual[active], lam * np.sign(d[active]), atol=1e-6
-            )
-            rhs = beta - z - D[active].T @ res.dual[active]
-            if np.any(~active):
-                u_in, *_ = np.linalg.lstsq(D[~active].T, rhs, rcond=None)
-                assert np.max(np.abs(u_in)) <= lam + 1e-6
-                rhs = rhs - D[~active].T @ u_in
-            assert np.max(np.abs(rhs)) <= 1e-6
+            assert_subgradient_optimal(beta, D, lam, res.solution, res.dual)
 
     def test_gap_certificate_within_contract(self):
         rng = np.random.default_rng(4)
         for _ in range(20):
             beta = rng.normal(0, 2, 6)
-            D = np.diff(np.eye(6), axis=0) * -1.0
+            D = chain(6)
             lam = rng.uniform(0.2, 1.5)
             tol = 1e-8
             res = prox_fused(beta, D, lam, tol=tol)
@@ -146,7 +169,7 @@ class TestProxFused:
     def test_iteration_cap(self, monkeypatch):
         monkeypatch.setattr(oracles, "_ADMM_MAX_ITER", 3)
         with pytest.raises(ConvergenceError) as err:
-            prox_fused(np.array([5.0, -5.0]), self.D, 1.0, tol=1e-14)
+            prox_fused(np.array([5.0, -5.0, 0.0]), CYCLE3, 1.0, tol=1e-14)
         assert err.value.residual is not None
 
     def test_negative_penalty_rejected(self):
@@ -156,6 +179,60 @@ class TestProxFused:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(DimensionError):
             prox_fused(np.array([1.0, 0.0, 2.0]), self.D, 1.0)
+
+
+class TestExactFinish:
+    """With D of full row rank, the ADMM finishes from its sign pattern."""
+
+    def test_pair_finishes_at_first_iteration(self):
+        res = prox_fused([5.0, -5.0], [[1.0, -1.0]], 1.0, tol=1e-14)
+        assert res.iterations == 1
+        np.testing.assert_array_equal(res.solution, [4.0, -4.0])
+        np.testing.assert_array_equal(res.dual, [1.0])
+
+    def test_chains_agree_with_tight_solves(self):
+        # a zero row adds nothing to the penalty but makes D D' singular,
+        # so the same problem also runs as plain ADMM
+        rng = np.random.default_rng(20)
+        for p in range(2, 9):
+            D = chain(p)
+            beta = rng.normal(0, 2, (30, p))
+            lam = rng.uniform(0.1, 2.0, 30)
+            res = prox_fused(beta, D, lam)
+            single = [prox_fused(beta[i], D, lam[i], tol=1e-12).solution
+                      for i in range(30)]
+            plain = prox_fused(beta, np.vstack([D, np.zeros(p)]), lam, tol=1e-12)
+            np.testing.assert_allclose(res.solution, single, rtol=0, atol=1e-10)
+            np.testing.assert_allclose(res.solution, plain.solution, rtol=0, atol=1e-10)
+            assert np.all(res.iterations < plain.iterations)
+
+    def test_finished_cases_meet_the_contract(self):
+        rng = np.random.default_rng(21)
+        tol = 1e-8
+        for p in range(2, 9):
+            D = chain(p)
+            beta = rng.normal(0, 2, (20, p))
+            lam = rng.uniform(0.2, 1.5, 20)
+            res = prox_fused(beta, D, lam, tol=tol)
+            # an exact finish leaves only rounding in the fused contrasts
+            assert np.all(res.residual <= 1e-12)
+            assert np.all(generalized_l1_gap(D, lam, res.solution, res.dual) <= 10 * tol)
+            for i in range(20):
+                assert_subgradient_optimal(beta[i], D, lam[i], res.solution[i], res.dual[i])
+
+    def test_rank_deficient_graph_runs_plain_admm(self):
+        # the complete graph on 4 nodes: 6 contrasts of rank 3
+        D = np.array([np.eye(4)[i] - np.eye(4)[j]
+                      for i in range(4) for j in range(i + 1, 4)])
+        rng = np.random.default_rng(22)
+        tol = 1e-8
+        beta = rng.normal(0, 2, (20, 4))
+        lam = rng.uniform(0.2, 1.5, 20)
+        res = prox_fused(beta, D, lam, tol=tol)
+        assert np.all(res.residual <= tol)
+        assert np.all(generalized_l1_gap(D, lam, res.solution, res.dual) <= 10 * tol)
+        tight = prox_fused(beta, D, lam, tol=1e-12)
+        np.testing.assert_allclose(res.solution, tight.solution, rtol=0, atol=1e-7)
 
 
 class TestSVT:
@@ -326,7 +403,7 @@ class TestStacks:
 
     def test_prox_fused(self):
         rng = np.random.default_rng(14)
-        D = np.diff(np.eye(5), axis=0) * -1.0
+        D = chain(5)
         beta = rng.normal(0, 2, (self.N, 5))
         lam = rng.uniform(0.1, 1.5, self.N)
         lam[::10] = 0.0
@@ -364,8 +441,8 @@ class TestStacks:
 
     def test_one_case_over_budget_raises(self, monkeypatch):
         monkeypatch.setattr(oracles, "_ADMM_MAX_ITER", 3)
-        beta = np.array([[1.0, 0.0], [5.0, -5.0]])
+        beta = np.array([[1.0, 0.0, 0.0], [5.0, -5.0, 0.0]])
         with pytest.raises(ConvergenceError) as err:
             # the lam = 0 case exits at once; the other needs far more steps
-            prox_fused(beta, np.array([[1.0, -1.0]]), [0.0, 1.0], tol=1e-14)
+            prox_fused(beta, CYCLE3, [0.0, 1.0], tol=1e-14)
         assert err.value.residual is not None

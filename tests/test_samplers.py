@@ -669,6 +669,9 @@ class TestConfig:
         ("retain", float("nan")),
         ("rank", 2.5),
         ("chain_id", 2.5),
+        ("seed", 2.5),
+        ("seed", float("nan")),
+        ("seed", True),
     ])
     def test_rejects_settings_that_fail_in_the_chain(self, field, value):
         # each was accepted and then failed at the first sweep, or keyed the
@@ -679,6 +682,12 @@ class TestConfig:
     def test_numpy_integers_accepted(self):
         cfg = SamplerConfig(warmup=np.int64(3), retain=np.int32(2))
         assert (cfg.warmup, cfg.retain) == (3, 2)
+
+    def test_any_integer_seed_accepted(self):
+        # seed 2.5 replayed seed 2's chains; the streams mask a seed to 64
+        # bits, so negative and numpy integers stay valid
+        for seed in (-1, np.int64(7), np.uint64(2**64 - 1), 2**70):
+            assert SamplerConfig(seed=seed).seed == seed
 
     def test_fields(self):
         assert [f.name for f in dataclasses.fields(SamplerConfig)] == [
