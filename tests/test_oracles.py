@@ -220,7 +220,7 @@ class TestExactFinish:
             for i in range(20):
                 assert_subgradient_optimal(beta[i], D, lam[i], res.solution[i], res.dual[i])
 
-    def test_rank_deficient_graph_runs_plain_admm(self):
+    def test_rank_deficient_graph_meets_the_contract(self):
         # the complete graph on 4 nodes: 6 contrasts of rank 3
         D = np.array([np.eye(4)[i] - np.eye(4)[j]
                       for i in range(4) for j in range(i + 1, 4)])
